@@ -23,7 +23,7 @@ from .control import GATED_MODULES
 from .isa import IllegalOpcodeError, RomImage
 from .machine import Injection, Machine
 from .peripherals import RxOverflowError, TxOverflowError
-from .power import CONTROL_NODE, ActivityTrace, PowerReport, estimate
+from .power import CONTROL_NODE, PowerReport, estimate
 from .reference import BENCHMARK_MAX_CYCLES
 
 EXIT_OK = 0
@@ -33,6 +33,8 @@ EXIT_OVERFLOW = 3
 EXIT_USAGE = 64
 
 TRACE_COLUMNS = ("cycle", "pc", "fsm_state", "opcode") + GATED_MODULES
+# Trace rows formatted per write call.
+_TRACE_CHUNK = 8192
 
 
 class _Parser(argparse.ArgumentParser):
@@ -132,13 +134,27 @@ def _parse_injections(path: str) -> list[Injection]:
     return injections
 
 
-def _write_trace(path: str, records) -> None:
+def _write_trace(path: str, machine: Machine) -> None:
+    """One CSV row per cycle. A row is its cycle number followed by the
+    text of its cycle class, which is formatted once per class."""
+    describe = machine.describe_class
+    log = machine.cycle_classes
+    suffixes: dict[int, str] = {}
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        for r in records:
-            writer.writerow([r.cycle, r.pc, r.fsm_state, r.opcode]
-                            + [int(m in r.enables) for m in GATED_MODULES])
+        fh.write(",".join(TRACE_COLUMNS) + "\r\n")
+        for start in range(0, len(log), _TRACE_CHUNK):
+            lines = []
+            for cycle, code in enumerate(log[start:start + _TRACE_CHUNK],
+                                         start):
+                suffix = suffixes.get(code)
+                if suffix is None:
+                    pc, state, opcode, enables = describe(code)
+                    suffix = suffixes[code] = ",".join(
+                        ["", str(pc), state, opcode]
+                        + ["1" if m in enables else "0"
+                           for m in GATED_MODULES]) + "\r\n"
+                lines.append(f"{cycle}{suffix}")
+            fh.write("".join(lines))
 
 
 def _write_io_log(path: str, events) -> None:
@@ -222,9 +238,9 @@ def cmd_run(args, parser: _Parser) -> int:
                     halt_on_self_loop=not args.no_self_loop_halt,
                     injections=injections)
     except IllegalOpcodeError as exc:
-        row = machine.records[-1]
-        print(f"mcusim: error: {exc} at pc={row.pc:#04x}, cycle {row.cycle}",
-              file=sys.stderr)
+        # The faulting fetch is the last cycle and leaves the pc on it.
+        print(f"mcusim: error: {exc} at pc={machine.pc:#04x}, "
+              f"cycle {machine.cycles - 1}", file=sys.stderr)
         status = EXIT_ILLEGAL_OPCODE
     except (TxOverflowError, RxOverflowError) as exc:
         print(f"mcusim: error: {exc} at cycle {machine.cycles}",
@@ -233,12 +249,12 @@ def cmd_run(args, parser: _Parser) -> int:
 
     try:
         if args.trace_out:
-            _write_trace(args.trace_out, machine.records)
+            _write_trace(args.trace_out, machine)
         if args.io_log:
             _write_io_log(args.io_log, machine.io_events)
         if status == EXIT_OK:
-            trace = ActivityTrace.from_records(machine.records)
-            report = estimate(trace, config.power_config(args.osc))
+            report = estimate(machine.activity(),
+                              config.power_config(args.osc))
             if args.report_out:
                 _write_report(args.report_out, report, machine.cycles,
                               not args.no_gating, not args.no_timestamp)

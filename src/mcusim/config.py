@@ -11,12 +11,15 @@ Recognized keys:
     gate.<OPCODE>.<module> = on|off   execute-row clock-enable override
 
 Lines are `key = value`; `#` starts a comment. Values omitted by a user
-file fall back to the packaged defaults.
+file fall back to the packaged defaults. Numbers must be finite;
+power.vdd, power.vswing and power.f_mhz must be above zero and
+capacitances at least zero.
 """
 
 from __future__ import annotations
 
 import importlib.resources
+import math
 from dataclasses import dataclass, field, replace
 
 from .clocking import CONTROL_WORDS, frequency_of
@@ -70,21 +73,29 @@ class SimConfig:
         return policy
 
 
-def _parse_float(value: str, lineno: int, key: str) -> float:
+def _parse_float(value: str, lineno: int, key: str, *,
+                 positive: bool = False) -> float:
+    """A finite number, above zero when `positive`, else at least zero."""
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ConfigError(lineno, f"{key} needs a number, got '{value}'") \
             from None
+    if not math.isfinite(number):
+        raise ConfigError(lineno, f"{key} must be finite, got '{value}'")
+    if number < 0 or (positive and number == 0):
+        bound = "positive" if positive else "at least 0"
+        raise ConfigError(lineno, f"{key} must be {bound}, got '{value}'")
+    return number
 
 
 def _apply(config: SimConfig, key: str, value: str, lineno: int) -> None:
     if key == "power.vdd":
-        config.vdd = _parse_float(value, lineno, key)
+        config.vdd = _parse_float(value, lineno, key, positive=True)
     elif key == "power.vswing":
-        config.vswing = _parse_float(value, lineno, key)
+        config.vswing = _parse_float(value, lineno, key, positive=True)
     elif key == "power.f_mhz":
-        config.f_mhz = _parse_float(value, lineno, key)
+        config.f_mhz = _parse_float(value, lineno, key, positive=True)
     elif key.startswith("power.cap."):
         node = key[len("power.cap."):]
         if node not in POWER_NODES:

@@ -1,9 +1,9 @@
 """Control unit: next-state/output logic and per-module clock enables.
 
-Modeled as the classic two-process machine: `next_state` and
-`output_signals` are pure combinational functions, `latch_state` is the
-clocked half that stores the state. The control path itself is never
-gated; it is what observes reset and the idle-mode wake interrupt.
+`next_state` and `output_signals` are the pure combinational half of
+the classic two-process machine; the machine's core holds the state
+register. The control path itself is never gated; it is what observes
+reset and the idle-mode wake interrupt.
 """
 
 from __future__ import annotations
@@ -171,8 +171,3 @@ def output_signals(current: FsmState, opcode: Op,
         # Reset sequence forces the pc back to the reset vector.
         return ControlSignals(enables=enables, pc_load=True)
     return ControlSignals(enables=enables)
-
-
-def latch_state(next_state_value: FsmState) -> FsmState:
-    """Sequential half of the two-process pair: store next as current."""
-    return next_state_value

@@ -47,11 +47,11 @@ class ActivityTrace:
         self.total_cycles = 0
         self._enabled = dict.fromkeys(GATED_MODULES, 0)
 
-    def add(self, enables) -> None:
-        """Record one cycle's enable set."""
-        self.total_cycles += 1
+    def add(self, enables, cycles: int = 1) -> None:
+        """Record `cycles` cycles that all had this enable set."""
+        self.total_cycles += cycles
         for module in enables:
-            self._enabled[module] += 1
+            self._enabled[module] += cycles
 
     @classmethod
     def from_records(cls, records) -> "ActivityTrace":

@@ -40,4 +40,4 @@ def run_benchmark(gating: bool = True) -> Machine:
 
 
 def benchmark_activity(gating: bool = True) -> ActivityTrace:
-    return ActivityTrace.from_records(run_benchmark(gating=gating).records)
+    return run_benchmark(gating=gating).activity()

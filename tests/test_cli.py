@@ -248,3 +248,16 @@ def test_bad_config_exits_1(bench_rom, tmp_path, capsys):
     assert run_cli("run", "--rom", str(bench_rom),
                    "--config", str(cfg)) == 1
     assert "line 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["power.vdd = -1", "power.f_mhz = nan",
+                                  "power.cap.rom = inf"])
+def test_bad_power_values_exit_1_naming_the_line(bench_rom, tmp_path,
+                                                 capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("# operating point\n" + line + "\n")
+    assert run_cli("run", "--rom", str(bench_rom),
+                   "--config", str(cfg)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("mcusim: error: line 2: ")

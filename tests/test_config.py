@@ -64,6 +64,12 @@ def test_gate_overrides_build_into_the_policy():
 
 @pytest.mark.parametrize("line,fragment", [
     ("power.vdd = high", "needs a number"),
+    ("power.vdd = -1", "must be positive"),
+    ("power.vswing = 0", "must be positive"),
+    ("power.f_mhz = nan", "must be finite"),
+    ("power.f_mhz = -inf", "must be finite"),
+    ("power.cap.alu = inf", "must be finite"),
+    ("power.cap.alu = -1e-12", "must be at least 0"),
     ("power.cap.dsp = 1e-12", "unknown power node"),
     ("osc.control_word = 16", "out of range"),
     ("osc.control_word = seven", "bad control word"),

@@ -8,7 +8,6 @@ from mcusim.control import (
     ControlSignals,
     FsmState,
     GatingPolicy,
-    latch_state,
     next_state,
     output_signals,
 )
@@ -155,8 +154,3 @@ def test_module_name_order_is_the_trace_column_order():
     assert GATED_MODULES == ("regfile", "alu", "ram", "rom", "port0",
                              "port1", "uart", "sevenseg")
     assert ALL_ENABLED == frozenset(GATED_MODULES)
-
-
-def test_latch_is_the_identity():
-    for state in ALL_STATES:
-        assert latch_state(state) is state

@@ -1,6 +1,8 @@
 """Instruction encoding and decoding."""
 
+import pathlib
 import random
+import re
 
 import pytest
 
@@ -139,3 +141,10 @@ def test_rom_image_pads_and_validates():
         RomImage([0] * (ROM_WORDS + 1))
     with pytest.raises(ValueError):
         RomImage([0x10000])
+
+
+def test_readme_isa_table_lists_exactly_the_opcodes():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("The 30 instructions:", 1)[1].split("\n\n", 2)[1]
+    listed = re.findall(r"`([A-Z][A-Z0-9]+)\b", table)
+    assert sorted(listed) == sorted(op.name for op in Op)
