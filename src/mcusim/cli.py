@@ -33,8 +33,6 @@ EXIT_OVERFLOW = 3
 EXIT_USAGE = 64
 
 TRACE_COLUMNS = ("cycle", "pc", "fsm_state", "opcode") + GATED_MODULES
-# Trace rows formatted per write call.
-_TRACE_CHUNK = 8192
 
 
 class _Parser(argparse.ArgumentParser):
@@ -138,23 +136,18 @@ def _write_trace(path: str, machine: Machine) -> None:
     """One CSV row per cycle. A row is its cycle number followed by the
     text of its cycle class, which is formatted once per class."""
     describe = machine.describe_class
-    log = machine.cycle_classes
     suffixes: dict[int, str] = {}
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\r\n")
-        for start in range(0, len(log), _TRACE_CHUNK):
-            lines = []
-            for cycle, code in enumerate(log[start:start + _TRACE_CHUNK],
-                                         start):
-                suffix = suffixes.get(code)
-                if suffix is None:
-                    pc, state, opcode, enables = describe(code)
-                    suffix = suffixes[code] = ",".join(
-                        ["", str(pc), state, opcode]
-                        + ["1" if m in enables else "0"
-                           for m in GATED_MODULES]) + "\r\n"
-                lines.append(f"{cycle}{suffix}")
-            fh.write("".join(lines))
+        for cycle, code in enumerate(machine.cycle_classes):
+            suffix = suffixes.get(code)
+            if suffix is None:
+                pc, state, opcode, enables = describe(code)
+                suffix = suffixes[code] = ",".join(
+                    ["", str(pc), state, opcode]
+                    + ["1" if m in enables else "0" for m in GATED_MODULES]
+                ) + "\r\n"
+            fh.write(f"{cycle}{suffix}")
 
 
 def _write_io_log(path: str, events) -> None:

@@ -260,7 +260,8 @@ class Machine:
         halts in a self-loop (when `halt_on_self_loop`), or a fault
         raises. Returns True when it stopped on such a halt.
 
-        A machine already halted runs one more cycle and stops again.
+        With `halt_on_self_loop`, a machine that has already halted
+        runs one more cycle and stops again.
         """
         cycle = self.cycles
         if cycle >= stop:
