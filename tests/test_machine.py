@@ -344,6 +344,20 @@ def test_idle_parks_until_interrupt():
     assert m.records[-1].fsm_state == "execute"
 
 
+def test_idle_freezes_the_uart_drain_only_when_gated():
+    for gating, drained in ((True, False), (False, True)):
+        m = machine_for("LOADI R1, 0x41\nUARTS R1\n", gating=gating)
+        m.step()
+        m.step()
+        m.force_idle()
+        for _ in range(12):
+            m.tick()
+        sent = [e.value for e in m.io_events if e.device == "uart"]
+        assert sent == ([0x41] if drained else [])
+        assert list(m.peripherals.uart.tx_queue) == ([] if drained
+                                                    else [0x41])
+
+
 def test_trace_rows_alternate_fetch_execute():
     m = Machine()
     m.run(20)
