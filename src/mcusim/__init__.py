@@ -13,7 +13,7 @@ from .asm import (
     format_rom_file,
     parse_rom_file,
 )
-from .clocking import OscillatorSetting, cycle_time_of, frequency_of
+from .clocking import cycle_time_of, frequency_of
 from .config import SimConfig, default_config, load_config
 from .control import FsmState, GatingPolicy, GATED_MODULES
 from .isa import (
@@ -49,7 +49,6 @@ __all__ = [
     "Instruction",
     "Machine",
     "Op",
-    "OscillatorSetting",
     "PowerConfig",
     "PowerReport",
     "RomImage",

@@ -7,8 +7,6 @@ larger word inserts more delay stages, each adding the same increment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 CONTROL_WORDS = 16
 MAX_FREQ_HZ = 134e6   # control word 0
 MIN_FREQ_HZ = 44e6    # control word 15
@@ -34,17 +32,3 @@ def frequency_of(control_word: int) -> float:
     """Clock frequency in Hz for a control word."""
     return 1.0 / cycle_time_of(control_word)
 
-
-@dataclass(frozen=True)
-class OscillatorSetting:
-    """One oscillator operating point."""
-
-    control_word: int
-    frequency: float
-    cycle_time: float
-
-    @classmethod
-    def from_control_word(cls, control_word: int) -> "OscillatorSetting":
-        period = cycle_time_of(control_word)
-        return cls(control_word=control_word, frequency=1.0 / period,
-                   cycle_time=period)

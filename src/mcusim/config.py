@@ -13,7 +13,9 @@ Recognized keys:
 Lines are `key = value`; `#` starts a comment. Values omitted by a user
 file fall back to the packaged defaults. Numbers must be finite;
 power.vdd, power.vswing and power.f_mhz must be above zero and
-capacitances at least zero.
+capacitances at least zero. Once the file is read, power.vswing must
+not exceed power.vdd and at least one capacitance must be above zero; a
+breach is reported at the last line that set one of the keys involved.
 """
 
 from __future__ import annotations
@@ -130,6 +132,7 @@ def _apply(config: SimConfig, key: str, value: str, lineno: int) -> None:
 def parse_config(text: str, base: SimConfig) -> SimConfig:
     """Apply a config file's overrides on top of a base configuration."""
     config = base.copy()
+    set_at: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -138,7 +141,23 @@ def parse_config(text: str, base: SimConfig) -> SimConfig:
             raise ConfigError(lineno, f"expected key = value, got '{line}'")
         key, value = (part.strip() for part in line.split("=", 1))
         _apply(config, key, value, lineno)
+        set_at[key] = lineno
+    _check_across_keys(config, set_at)
     return config
+
+
+def _check_across_keys(config: SimConfig, set_at: dict[str, int]) -> None:
+    """Rules that involve more than one key, given the line that last set
+    each key. A rule is checked only when the file set one of its keys."""
+    supply = [n for key, n in set_at.items()
+              if key in ("power.vdd", "power.vswing")]
+    if supply and config.vswing > config.vdd:
+        raise ConfigError(max(supply), f"power.vswing ({config.vswing:g}) "
+                                       f"exceeds power.vdd ({config.vdd:g})")
+    caps = [n for key, n in set_at.items() if key.startswith("power.cap.")]
+    if caps and not any(config.cap.values()):
+        raise ConfigError(max(caps), "every power.cap value is 0, so there "
+                                     "is no power to estimate")
 
 
 def _empty_base() -> SimConfig:

@@ -1,7 +1,7 @@
-"""Control unit: next-state/output logic and per-module clock enables.
+"""Control unit: next-state logic and per-module clock enables.
 
-`next_state` and `output_signals` are the pure combinational half of
-the classic two-process machine; the machine's core holds the state
+`next_state` and `GatingPolicy.enables` are the pure combinational half
+of the classic two-process machine; the machine's core holds the state
 register. The control path itself is never gated; it is what observes
 reset and the idle-mode wake interrupt.
 """
@@ -11,14 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .isa import (
-    ALU_OPS,
-    BRANCH_OPS,
-    BRANCH_REG_OPS,
-    REG_WRITE_OPS,
-    Z_FLAG_OPS,
-    Op,
-)
+from .isa import ALU_OPS, BRANCH_REG_OPS, Op
 
 # Every module behind a clock gate, in trace-column order.
 GATED_MODULES = (
@@ -38,21 +31,6 @@ class FsmState(Enum):
     DECODE = "decode"
     EXECUTE = "execute"
     IDLE = "idle"
-
-
-@dataclass(frozen=True)
-class ControlSignals:
-    """One cycle's worth of control outputs."""
-
-    enables: frozenset[str]
-    reg_write: bool = False
-    mem_read: bool = False
-    mem_write: bool = False
-    pc_load: bool = False
-    flag_write: bool = False
-
-    def enabled(self, module: str) -> bool:
-        return module in self.enables
 
 
 def _default_execute_rows() -> dict[Op, frozenset[str]]:
@@ -121,9 +99,6 @@ class GatingPolicy:
         self.execute_rows[opcode] = frozenset(row)
 
 
-DEFAULT_POLICY = GatingPolicy()
-
-
 def next_state(current: FsmState, opcode: Op, reset: bool = False,
                interrupt: bool = False) -> FsmState:
     """Combinational next-state function.
@@ -149,25 +124,3 @@ def next_state(current: FsmState, opcode: Op, reset: bool = False,
     # idle: wait for the wake interrupt
     return FsmState.FETCH if interrupt else FsmState.IDLE
 
-
-def output_signals(current: FsmState, opcode: Op,
-                   policy: GatingPolicy = DEFAULT_POLICY) -> ControlSignals:
-    """Combinational output function: clock enables plus datapath strobes.
-
-    pc_load on a conditional branch asserts the load path; whether the
-    pc actually changes is the flag comparison done in the datapath.
-    """
-    enables = policy.enables(current, opcode)
-    if current is FsmState.EXECUTE:
-        return ControlSignals(
-            enables=enables,
-            reg_write=opcode in REG_WRITE_OPS,
-            mem_read=opcode is Op.LOAD,
-            mem_write=opcode is Op.STORE,
-            pc_load=opcode in BRANCH_OPS,
-            flag_write=opcode in Z_FLAG_OPS,
-        )
-    if current in (FsmState.RESET1, FsmState.RESET2):
-        # Reset sequence forces the pc back to the reset vector.
-        return ControlSignals(enables=enables, pc_load=True)
-    return ControlSignals(enables=enables)

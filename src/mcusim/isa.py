@@ -88,14 +88,8 @@ ALU_OPS = frozenset({
     Op.INC, Op.DEC, Op.AND, Op.OR, Op.XOR, Op.NOT, Op.ADD, Op.SUB,
     Op.SHL, Op.SHR, Op.ROR, Op.ROL,
 })
-# Ops that update the zero flag (ZERO clears a register without the ALU).
-Z_FLAG_OPS = ALU_OPS | {Op.ZERO}
-BRANCH_IMM_OPS = frozenset({Op.BI, Op.BGTI})
 BRANCH_REG_OPS = frozenset({Op.BCH, Op.BEQ, Op.BNEQ, Op.BGT, Op.BLT, Op.BLTE})
-BRANCH_OPS = BRANCH_IMM_OPS | BRANCH_REG_OPS
 IO_OPS = frozenset({Op.PORT0, Op.PORT1, Op.B7S, Op.UARTS})
-# Ops whose execute stage writes a register.
-REG_WRITE_OPS = ALU_OPS | {Op.LOAD, Op.MOVE, Op.LOADI, Op.ZERO, Op.PORT1}
 
 
 class IllegalOpcodeError(ValueError):

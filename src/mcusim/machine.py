@@ -1,4 +1,4 @@
-"""Architectural state and instruction execution, one clock cycle at a time.
+"""Architectural state and cycle-accurate instruction execution.
 
 Every instruction costs two cycles: a fetch cycle that clocks the ROM
 and an execute cycle that clocks only the modules the instruction
@@ -11,9 +11,14 @@ enable is held high during those cycles regardless of what the current
 instruction is doing (except in idle mode, which stops every module
 clock and freezes the drain).
 
-The ROM is read-only once a `Machine` is built, so its words are
-decoded once, up front, and the core dispatches on plain integers. Each
-cycle leaves one 16-bit cycle-class code in a log: the pc, the
+The ROM is read-only once a `Machine` is built, so the core translates
+it, block by block, into Python. The first time the core fetches from a
+pc, it turns the straight-line instructions from there, up to and
+including the first branch or port/display instruction, into one
+function built with `compile` from `_SEMANTICS`, the one source template
+per opcode; the block then runs in one call. A translation depends on
+the ROM words alone, so every machine built on the same ROM shares it.
+Each cycle leaves one 16-bit cycle-class code in a log: the pc, the
 controller state and whether the UART was busy. The opcode is a
 function of the pc and the clock enables a function of (state, opcode,
 busy, policy), so the code carries everything a trace row holds;
@@ -22,18 +27,20 @@ busy, policy), so the code carries everything a trace row holds;
 
 from __future__ import annotations
 
+import re
 from array import array
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .control import ALL_ENABLED, FsmState, GatingPolicy
-from .isa import IllegalOpcodeError, Instruction, Op, RomImage, decode
+from .isa import (IO_OPS, ROM_WORDS, IllegalOpcodeError, Instruction, Op,
+                  RomImage, decode)
 from .peripherals import Peripherals, TxOverflowError
 from .power import ActivityTrace
 
 RAM_WORDS = 1024
 PC_MASK = 0xFF
-WORD = 0xFFFF
 
 # Controller states as the core numbers them; `_STATES` maps them back.
 _RESET1, _RESET2, _FETCH, _EXECUTE, _IDLE = range(5)
@@ -43,11 +50,6 @@ _STATES = (FsmState.RESET1, FsmState.RESET2, FsmState.FETCH,
 # Cycle-class code: pc | state << 8 | uart_busy << 11.
 _STATE_SHIFT = 8
 _BUSY = 1 << 11
-
-# Opcode values as plain ints for the dispatch in `Machine._advance`.
-(_NOP, _LOAD, _STORE, _MOVE, _LOADI, _BI, _BGTI, _INC, _DEC, _AND, _OR,
- _XOR, _NOT, _ADD, _SUB, _ZERO, _PORT0, _BLT, _BNEQ, _PORT1, _BGT, _BCH,
- _BEQ, _B7S, _BLTE, _SHL, _SHR, _ROR, _ROL, _UARTS) = (int(op) for op in Op)
 
 
 @dataclass
@@ -66,7 +68,7 @@ class Flags:
         self.l = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IoEvent:
     """One observable I/O action."""
 
@@ -122,12 +124,60 @@ class Injection:
             raise ValueError("injected value must be one byte")
 
 
-def _predecode(rom: RomImage) -> list[tuple[int, int, int, int] | None]:
+# What each opcode does, as Python source over a block's locals: r0-r7
+# are the registers, z and l the flags, pc the address to fetch next,
+# ram the RAM, m the machine and cycle the cycle count just after the
+# instruction's execute cycle. {d}, {s} and {i} are the rd, rs and imm
+# fields and {n} the address after the instruction. Statements are
+# separated by "; "; a register is written only by a statement that
+# starts `r<k> = `, and only a branch assigns pc.
+_SEMANTICS = {
+    Op.NOP: "",
+    Op.LOAD: "r{d} = ram[{i}]",
+    Op.STORE: "ram[{i}] = r{d}",
+    Op.MOVE: "r{d} = r{s}",
+    Op.LOADI: "r{d} = {i}",
+    Op.ZERO: "r{d} = 0; z = True",
+    Op.INC: "r{d} = (r{d} + 1) & 0xFFFF; z = r{d} == 0",
+    # l is the borrow out of zero.
+    Op.DEC: "l = r{d} == 0; r{d} = (r{d} - 1) & 0xFFFF; z = r{d} == 0",
+    Op.AND: "r{d} = r{d} & r{s}; z = r{d} == 0",
+    Op.OR: "r{d} = r{d} | r{s}; z = r{d} == 0",
+    Op.XOR: "r{d} = r{d} ^ r{s}; z = r{d} == 0",
+    Op.NOT: "r{d} = r{d} ^ 0xFFFF; z = r{d} == 0",
+    Op.ADD: "r{d} = (r{d} + r{s}) & 0xFFFF; z = r{d} == 0",
+    Op.SUB: "l = r{d} < r{s}; r{d} = (r{d} - r{s}) & 0xFFFF; "
+            "z = r{d} == 0",
+    Op.SHL: "r{d} = (r{d} << 1) & 0xFFFF; z = r{d} == 0",
+    Op.SHR: "r{d} = r{d} >> 1; z = r{d} == 0",
+    Op.ROR: "r{d} = r{d} >> 1 | (r{d} & 1) << 15; z = r{d} == 0",
+    Op.ROL: "r{d} = (r{d} << 1) & 0xFFFF | r{d} >> 15; z = r{d} == 0",
+    Op.BI: "pc = {i}",
+    Op.BGTI: "pc = {i} if not z and not l else {n}",
+    Op.BCH: "pc = r{d} & 0xFF",
+    Op.BEQ: "pc = r{d} & 0xFF if z else {n}",
+    Op.BNEQ: "pc = {n} if z else r{d} & 0xFF",
+    Op.BGT: "pc = r{d} & 0xFF if not z and not l else {n}",
+    Op.BLT: "pc = r{d} & 0xFF if l else {n}",
+    Op.BLTE: "pc = r{d} & 0xFF if l or z else {n}",
+    Op.PORT0: "v = r{d} & 0xFF; m.peripherals.ports.write_port0(v); "
+              "m.io_events.append(IoEvent(cycle - 1, 'port0', 'out', v))",
+    Op.PORT1: "r{d} = m.peripherals.ports.read_port1(); "
+              "m.io_events.append(IoEvent(cycle - 1, 'port1', 'in', r{d}))",
+    Op.B7S: "seg = m.peripherals.sevenseg; seg.show(r{d} & 0xF); "
+            "m.io_events.append(IoEvent(cycle - 1, 'sevenseg', 'out', "
+            "seg.segments))",
+    Op.UARTS: "m.peripherals.uart.send(r{d} & 0xFF)",
+}
+_REGISTER = re.compile(r"\br([0-7])\b")
+
+
+def _predecode(words) -> list[tuple[int, int, int, int] | None]:
     """(opcode, rd, rs, imm) per ROM address; None for an illegal word.
     Fields the opcode's format does not use are zero."""
     entries: dict[int, tuple[int, int, int, int] | None] = {}
     table = []
-    for word in rom:
+    for word in words:
         if word not in entries:
             try:
                 instr = decode(word)
@@ -140,14 +190,120 @@ def _predecode(rom: RomImage) -> list[tuple[int, int, int, int] | None]:
     return table
 
 
+def _compile_block(table, words, start: int, limit: int,
+                   room: int) -> tuple | None:
+    """Translate at most `limit` instructions from `start` into a block
+    (run, cycles, plain codes, busy codes, self-loop pc), or return None
+    if it would take more than `room` cycles.
+
+    `run(regs, ram, z, l, cycle, m)` runs the block on machine `m`, with
+    `cycle` the cycle count after it, and returns (pc, z, l). A block
+    ends after a branch or a port/display instruction, or before an
+    illegal word; UARTS is a block of its own, so a full FIFO raises
+    before the block has changed anything. An illegal word at `start`
+    is a one-cycle block that raises in its fetch. The codes are the
+    block's cycle-class codes without and with the UART-busy bit; the
+    self-loop pc is that of a closing BI or BCH, otherwise -1.
+    """
+    body: list[str] = []
+    codes: list[int] = []
+    loop_pc = -1
+    pc = start
+    for _ in range(limit):
+        entry = table[pc]
+        if entry is None:
+            if not codes:
+                body.append(f"raise IllegalOpcodeError({words[pc]:#06x})")
+                codes.append(pc | _FETCH << _STATE_SHIFT)
+            break
+        op, rd, rs, imm = entry
+        if op == Op.UARTS and codes:
+            break
+        if len(codes) + 2 > room:
+            return None
+        codes += (pc | _FETCH << _STATE_SHIFT, pc | _EXECUTE << _STATE_SHIFT)
+        nxt = (pc + 1) & PC_MASK
+        source = _SEMANTICS[op]
+        if source:
+            source = source.format(d=rd, s=rs, i=imm, n=nxt)
+            body += source.split("; ")
+        if source.startswith("pc = "):
+            if op in (Op.BI, Op.BCH):
+                loop_pc = pc
+            break
+        pc = nxt
+        if op in IO_OPS:
+            break
+    if not body or not body[-1].startswith("pc = "):
+        body.append(f"pc = {pc}")
+    # Registers live in locals: load those read before they are written,
+    # store back those written.
+    loads: set[str] = set()
+    stores: set[str] = set()
+    for stmt in body:
+        target, assign, value = stmt.partition(" = ")
+        loads.update(set(_REGISTER.findall(value if assign else stmt))
+                     - stores)
+        written = _REGISTER.fullmatch(target) if assign else None
+        if written:
+            stores.add(written.group(1))
+    lines = ([f"r{k} = regs[{k}]" for k in sorted(loads)] + body
+             + [f"regs[{k}] = r{k}" for k in sorted(stores)]
+             + ["return pc, z, l"])
+    namespace = {"IoEvent": IoEvent, "IllegalOpcodeError": IllegalOpcodeError}
+    exec(compile("def run(regs, ram, z, l, cycle, m):\n"
+                 + "".join(f"    {line}\n" for line in lines),
+                 f"<ROM block at {start:#04x}>", "exec"), namespace)
+    return (namespace["run"], len(codes), array("H", codes),
+            array("H", [code | _BUSY for code in codes]), loop_pc)
+
+
+class _Translation:
+    """A ROM's predecoded table and its blocks, each translated the first
+    time the core reaches its pc. It depends on the ROM words alone."""
+
+    def __init__(self, words: tuple[int, ...]):
+        self.words = words
+        self.table = _predecode(words)
+        # The longest block from each pc, and the one-instruction block at
+        # each pc that runs where a longest block would cross a stop.
+        self.blocks: list[tuple | None] = [None] * ROM_WORDS
+        self.singles: list[tuple | None] = [None] * ROM_WORDS
+
+    def block(self, pc: int, room: int) -> tuple:
+        """The longest block from `pc`, or the one-instruction block at
+        `pc` when the longest takes more than `room` cycles."""
+        block = _compile_block(self.table, self.words, pc, ROM_WORDS, room)
+        if block is None:
+            return self.singles[pc] or self.single(pc)
+        self.blocks[pc] = block
+        if block[1] <= 2:
+            self.singles[pc] = block
+        return block
+
+    def single(self, pc: int) -> tuple:
+        block = self.singles[pc] = _compile_block(self.table, self.words, pc,
+                                                  1, 2)
+        return block
+
+
+@lru_cache(maxsize=16)
+def _translate(words: tuple[int, ...]) -> _Translation:
+    """One translation per ROM content, shared by every machine on it."""
+    return _Translation(words)
+
+
 class Machine:
     """The microcontroller: CPU core, memories, peripherals, clock gates.
 
-    The ROM must not change once the machine is built: it is decoded
-    here, once. Every cycle costs about 2 bytes of memory, one code in
-    the cycle-class log. `records` builds the per-cycle trace rows from
-    that log on every access, at O(cycles) cost; `activity()` folds the
-    log into per-module enabled-cycle counts without building them.
+    The ROM must not change once the machine is built: the core runs it
+    as Python blocks translated the first time it reaches them, once
+    per ROM content and process, so machines on equal ROMs share them.
+    The gating policy is not part of the translation. Every cycle costs
+    about 2 bytes of memory, one code in the cycle-class log. `records`
+    builds the per-cycle trace rows from that log on every access, at
+    O(cycles) cost; `activity()` folds the log into per-module
+    enabled-cycle counts without building them.
     """
 
     def __init__(self, rom: RomImage | None = None, *,
@@ -166,9 +322,8 @@ class Machine:
         self.io_events: list[IoEvent] = []
         self.halted = False
         self.halt_reason: str | None = None
-        self._table = _predecode(self.rom)
+        self._code = _translate(tuple(self.rom))
         self._state = _FETCH
-        self._fetched: tuple[int, int, int, int] | None = None
         self._wake = False
         self._log = array("H")
         self._classes: dict[int, tuple[int, str, str, frozenset[str]]] = {}
@@ -190,7 +345,6 @@ class Machine:
         self._state = _RESET1
         self.halted = False
         self.halt_reason = None
-        self._fetched = None
         self._wake = False
 
     def force_idle(self) -> None:
@@ -225,7 +379,7 @@ class Machine:
         if row is None:
             pc = code & PC_MASK
             state = _STATES[(code >> _STATE_SHIFT) & 7]
-            entry = (self._table[pc]
+            entry = (self._code.table[pc]
                      if state in (FsmState.FETCH, FsmState.EXECUTE) else None)
             op = Op(entry[0]) if entry is not None else None
             if not self.gating:
@@ -260,48 +414,65 @@ class Machine:
         halts in a self-loop (when `halt_on_self_loop`), or a fault
         raises. Returns True when it stopped on such a halt.
 
-        With `halt_on_self_loop`, a machine that has already halted
-        runs one more cycle and stops again.
+        From the fetch state a whole block runs in one step when it ends
+        by `stop`; otherwise its first instruction runs alone, or, with
+        one cycle left, only that instruction's fetch. Reset and idle
+        run a cycle at a time. With `halt_on_self_loop`, a machine that
+        has already halted runs one more cycle and stops again.
         """
         cycle = self.cycles
         if cycle >= stop:
             return False
         if self.halted and halt_on_self_loop:
             stop = cycle + 1
-        table = self._table
+        code = self._code
+        blocks, singles = code.blocks, code.singles
         regs = self.regs
         ram = self.ram
         flags = self.flags
         z, l = flags.z, flags.l
         pc = self.pc
         state = self._state
-        entry = self._fetched
         emit = self._log.append
-        events = self.io_events
-        ports = self.peripherals.ports
-        sevenseg = self.peripherals.sevenseg
-        uart = self.peripherals.uart
-        txq = uart.tx_queue
+        extend = self._log.extend
+        txq = self.peripherals.uart.tx_queue
+        span = self._span
         # Ungated, every clock runs in idle too, so the UART keeps draining.
         drain_in_idle = not self.gating
         try:
             while cycle < stop:
-                code = pc | state << _STATE_SHIFT
-                if txq:
-                    emit(code | _BUSY)
-                    if state != _IDLE or drain_in_idle:
-                        for byte in uart.tick(1):
-                            events.append(IoEvent(cycle, "uart", "out", byte))
-                else:
-                    emit(code)
-                cycle += 1
                 if state == _FETCH:
-                    entry = table[pc]
-                    if entry is None:
-                        raise IllegalOpcodeError(self.rom[pc])
-                    state = _EXECUTE
-                    continue
-                if state != _EXECUTE:
+                    run, n, plain, busy, loop_pc = (
+                        blocks[pc] or code.block(pc, stop - cycle))
+                    if cycle + n > stop:
+                        run, n, plain, busy, loop_pc = (singles[pc]
+                                                        or code.single(pc))
+                        if cycle + n > stop:
+                            # Fetch now; the execute half runs next time.
+                            span(cycle, plain[:1], busy[:1])
+                            cycle += 1
+                            state = _EXECUTE
+                            continue
+                    if txq:
+                        span(cycle, plain, busy)
+                    else:
+                        extend(plain)
+                elif state == _EXECUTE:
+                    # The execute half of an instruction split by a stop.
+                    run, _, plain, busy, loop_pc = (singles[pc]
+                                                    or code.single(pc))
+                    n = 1
+                    span(cycle, plain[1:], busy[1:])
+                    state = _FETCH
+                else:
+                    here = pc | state << _STATE_SHIFT
+                    if txq:
+                        span(cycle, array("H", [here]),
+                             array("H", [here | _BUSY]),
+                             state != _IDLE or drain_in_idle)
+                    else:
+                        emit(here)
+                    cycle += 1
                     if state == _IDLE:
                         if self._wake:
                             state = _FETCH
@@ -309,132 +480,41 @@ class Machine:
                     else:
                         state += 1  # reset1 -> reset2 -> fetch
                     continue
-
-                state = _FETCH
-                op, rd, rs, imm = entry
-                here = pc
-                pc = (pc + 1) & PC_MASK
-                if op == _ADD:
-                    result = (regs[rd] + regs[rs]) & WORD
-                    regs[rd] = result
-                    z = result == 0
-                elif op == _SUB:
-                    a, b = regs[rd], regs[rs]
-                    l = a < b
-                    result = (a - b) & WORD
-                    regs[rd] = result
-                    z = result == 0
-                elif op == _AND:
-                    result = regs[rd] & regs[rs]
-                    regs[rd] = result
-                    z = result == 0
-                elif op == _OR:
-                    result = regs[rd] | regs[rs]
-                    regs[rd] = result
-                    z = result == 0
-                elif op == _XOR:
-                    result = regs[rd] ^ regs[rs]
-                    regs[rd] = result
-                    z = result == 0
-                elif op == _INC:
-                    result = (regs[rd] + 1) & WORD
-                    regs[rd] = result
-                    z = result == 0
-                elif op == _DEC:
-                    l = regs[rd] == 0  # borrow out of zero
-                    result = (regs[rd] - 1) & WORD
-                    regs[rd] = result
-                    z = result == 0
-                elif op == _NOT:
-                    result = ~regs[rd] & WORD
-                    regs[rd] = result
-                    z = result == 0
-                elif op == _SHL:
-                    result = (regs[rd] << 1) & WORD
-                    regs[rd] = result
-                    z = result == 0
-                elif op == _SHR:
-                    result = regs[rd] >> 1
-                    regs[rd] = result
-                    z = result == 0
-                elif op == _ROR:
-                    v = regs[rd]
-                    result = (v >> 1) | ((v & 1) << 15)
-                    regs[rd] = result
-                    z = result == 0
-                elif op == _ROL:
-                    v = regs[rd]
-                    result = ((v << 1) & WORD) | (v >> 15)
-                    regs[rd] = result
-                    z = result == 0
-                elif op == _MOVE:
-                    regs[rd] = regs[rs]
-                elif op == _LOADI:
-                    regs[rd] = imm
-                elif op == _ZERO:
-                    regs[rd] = 0
-                    z = True
-                elif op == _LOAD:
-                    regs[rd] = ram[imm]
-                elif op == _STORE:
-                    ram[imm] = regs[rd]
-                elif op == _NOP:
-                    pass
-                elif op == _BNEQ:
-                    if not z:
-                        pc = regs[rd] & PC_MASK
-                elif op == _BEQ:
-                    if z:
-                        pc = regs[rd] & PC_MASK
-                elif op == _BGT:
-                    if not z and not l:
-                        pc = regs[rd] & PC_MASK
-                elif op == _BLT:
-                    if l:
-                        pc = regs[rd] & PC_MASK
-                elif op == _BLTE:
-                    if l or z:
-                        pc = regs[rd] & PC_MASK
-                elif op == _BGTI:
-                    if not z and not l:
-                        pc = imm
-                elif op == _BI or op == _BCH:
-                    pc = imm if op == _BI else regs[rd] & PC_MASK
-                    if pc == here:
-                        # Unconditional branch to itself: the spin-forever
-                        # idiom.
-                        self.halted = True
-                        self.halt_reason = "self-loop"
-                        if halt_on_self_loop:
-                            break
-                elif op == _PORT0:
-                    value = regs[rd] & 0xFF
-                    ports.write_port0(value)
-                    events.append(IoEvent(cycle - 1, "port0", "out", value))
-                elif op == _PORT1:
-                    value = ports.read_port1()
-                    regs[rd] = value
-                    events.append(IoEvent(cycle - 1, "port1", "in", value))
-                elif op == _B7S:
-                    sevenseg.show(regs[rd] & 0xF)
-                    events.append(IoEvent(cycle - 1, "sevenseg", "out",
-                                          sevenseg.segments))
-                elif op == _UARTS:
-                    try:
-                        uart.send(regs[rd] & 0xFF)
-                    except TxOverflowError:
-                        # The faulting instruction does not retire.
-                        pc, state = here, _EXECUTE
-                        raise
-                else:  # pragma: no cover - the decoder admits no other op
-                    raise AssertionError(op)
+                cycle += n
+                pc, z, l = run(regs, ram, z, l, cycle, self)
+                if pc == loop_pc:
+                    # Unconditional branch to itself: the spin-forever idiom.
+                    self.halted = True
+                    self.halt_reason = "self-loop"
+                    if halt_on_self_loop:
+                        break
+        except TxOverflowError:
+            state = _EXECUTE  # the faulting UARTS does not retire
+            raise
         finally:
             self.cycles = cycle
             self.pc = pc
             self._state = state
-            self._fetched = entry
             flags.z, flags.l = z, l
         return halt_on_self_loop and self.halted
+
+    def _span(self, cycle: int, plain: array, busy: array,
+              clocked: bool = True) -> None:
+        """Log the cycle-class codes of consecutive cycles from `cycle`
+        on, given without (`plain`) and with (`busy`) the UART-busy bit,
+        and advance the UART over them when its clock runs."""
+        uart = self.peripherals.uart
+        held = len(plain) if uart.tx_queue else 0
+        if held and clocked:
+            held, sent = uart.tick(held)
+            for offset, byte in sent:
+                self.io_events.append(IoEvent(cycle + offset, "uart", "out",
+                                              byte))
+        if held == len(plain):
+            self._log.extend(busy)
+        else:
+            self._log.extend(busy[:held])
+            self._log.extend(plain[held:])
 
     # -- stepping ------------------------------------------------------
 
@@ -457,7 +537,7 @@ class Machine:
                                tuple(self.io_events[events_before:]))
         self.tick()                  # fetch
         row = self.tick()            # execute
-        op, rd, rs, imm = self._fetched
+        op, rd, rs, imm = self._code.table[pc_before]
         return StepOutcome(Instruction(Op(op), rd, rs, imm), pc_before,
                            self.pc, row.enables,
                            tuple(self.io_events[events_before:]))

@@ -81,21 +81,24 @@ class Uart:
                 f"transmit FIFO full ({FIFO_DEPTH} bytes pending)")
         self.tx_queue.append(byte & 0xFF)
 
-    def tick(self, elapsed_cycles: int) -> list[int]:
-        """Advance time; return the bytes whose transmission completed."""
-        if elapsed_cycles < 0:
-            raise ValueError("elapsed_cycles must be >= 0")
-        emitted = []
-        remaining = elapsed_cycles
-        while remaining > 0 and self.tx_queue:
+    def tick(self, cycles: int) -> tuple[int, list[tuple[int, int]]]:
+        """Advance `cycles` clocked cycles. Returns how many of them, from
+        the first, began with a byte queued, and (offset, byte) for each
+        byte that finished, offset counted from the first cycle."""
+        if cycles < 0:
+            raise ValueError("cycles must be >= 0")
+        queue = self.tx_queue
+        sent = []
+        spent = 0
+        while queue and spent < cycles:
             if self.tx_busy_cycles == 0:
                 self.tx_busy_cycles = self.baud_divisor
-            spent = min(remaining, self.tx_busy_cycles)
-            self.tx_busy_cycles -= spent
-            remaining -= spent
+            step = min(cycles - spent, self.tx_busy_cycles)
+            self.tx_busy_cycles -= step
+            spent += step
             if self.tx_busy_cycles == 0:
-                emitted.append(self.tx_queue.popleft())
-        return emitted
+                sent.append((spent - 1, queue.popleft()))
+        return spent, sent
 
     def inject_rx(self, byte: int) -> None:
         if len(self.rx_queue) >= FIFO_DEPTH:

@@ -38,6 +38,10 @@ class InfeasibleTargetsError(Exception):
     """No non-negative capacitance split reproduces the target totals."""
 
 
+class NoCapacitanceError(Exception):
+    """Every capacitance is zero, so there is no power to compare."""
+
+
 class ActivityTrace:
     """Per-module enabled-cycle counts accumulated over a run."""
 
@@ -133,6 +137,8 @@ def estimate(trace: ActivityTrace, config: PowerConfig) -> PowerReport:
     gated = {node: ungated[node] * duty[node] for node in POWER_NODES}
     total_gated = sum(gated.values())
     total_ungated = sum(ungated.values())
+    if total_ungated == 0:
+        raise NoCapacitanceError("every capacitance is 0")
     return PowerReport(
         per_module_mw=gated,
         per_module_ungated_mw=ungated,

@@ -261,3 +261,33 @@ def test_bad_power_values_exit_1_naming_the_line(bench_rom, tmp_path,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("mcusim: error: line 2: ")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("power.vdd = 1.8\n",
+     "line 1: power.vswing (2.4) exceeds power.vdd (1.8)"),
+    ("power.vdd = 2.0\n# swing\npower.vswing = 2.2\n",
+     "line 3: power.vswing (2.2) exceeds power.vdd (2)"),
+    ("power.vswing = 2.2\n# supply\npower.vdd = 2.0\n",
+     "line 3: power.vswing (2.2) exceeds power.vdd (2)"),
+])
+def test_swing_above_supply_exits_1_naming_the_line(bench_rom, tmp_path,
+                                                    capsys, text, message):
+    cfg = tmp_path / "swing.cfg"
+    cfg.write_text(text)
+    assert run_cli("run", "--rom", str(bench_rom),
+                   "--config", str(cfg)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"mcusim: error: {message}\n"
+
+
+def test_all_zero_capacitances_exit_1(bench_rom, tmp_path, capsys):
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text("".join(f"power.cap.{node} = 0\n" for node in
+                           ("control",) + cli.GATED_MODULES))
+    assert run_cli("run", "--rom", str(bench_rom),
+                   "--config", str(cfg)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("mcusim: error: line 9: every power.cap")

@@ -6,7 +6,6 @@ from mcusim.clocking import (
     CONTROL_WORDS,
     MAX_FREQ_HZ,
     MIN_FREQ_HZ,
-    OscillatorSetting,
     cycle_time_of,
     frequency_of,
 )
@@ -51,9 +50,3 @@ def test_out_of_range_control_words_rejected(bad):
     with pytest.raises(ValueError):
         frequency_of(bad)
 
-
-def test_setting_bundle():
-    setting = OscillatorSetting.from_control_word(3)
-    assert setting.control_word == 3
-    assert setting.frequency == frequency_of(3)
-    assert setting.cycle_time == cycle_time_of(3)

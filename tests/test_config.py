@@ -29,12 +29,12 @@ def test_overrides_apply_on_top_of_defaults():
     config = parse_config(
         "# comment\n"
         "\n"
-        "power.vdd = 1.8   # inline comment\n"
+        "power.vdd = 3.3   # inline comment\n"
         "power.cap.alu = 1e-12\n"
         "osc.control_word = 7\n",
         base,
     )
-    assert config.vdd == 1.8
+    assert config.vdd == 3.3
     assert config.cap["alu"] == 1e-12
     assert config.cap["ram"] == base.cap["ram"]  # untouched keys survive
     assert config.osc_control_word == 7
@@ -89,3 +89,24 @@ def test_config_errors_carry_line_numbers():
     with pytest.raises(ConfigError) as exc:
         parse_config("power.vdd = 2.4\nbogus = 1\n", default_config())
     assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("text,line", [
+    ("power.vdd = 1.8\n", 1),  # below the packaged swing of 2.4
+    ("power.vdd = 2.0\n# swing\npower.vswing = 2.2\n", 3),
+    ("power.vswing = 2.2\n# supply\npower.vdd = 2.0\n", 3),
+    ("power.vdd = 1.0\npower.vswing = 1.2\npower.vdd = 1.1\n", 3),
+])
+def test_swing_above_supply_names_the_later_line(text, line):
+    with pytest.raises(ConfigError, match="exceeds power.vdd") as exc:
+        parse_config(text, default_config())
+    assert exc.value.line == line
+
+
+def test_all_zero_capacitances_are_rejected():
+    text = "".join(f"power.cap.{node} = 0\n" for node in POWER_NODES)
+    with pytest.raises(ConfigError, match="every power.cap value is 0") as exc:
+        parse_config(text, default_config())
+    assert exc.value.line == len(POWER_NODES)
+    # One capacitance above zero is enough.
+    parse_config(text + "power.cap.rom = 1e-12\n", default_config())

@@ -1,15 +1,13 @@
-"""Control FSM transitions, clock-enable policy, datapath strobes."""
+"""Control FSM transitions and the clock-enable policy."""
 
 import pytest
 
 from mcusim.control import (
     ALL_ENABLED,
     GATED_MODULES,
-    ControlSignals,
     FsmState,
     GatingPolicy,
     next_state,
-    output_signals,
 )
 from mcusim.isa import Op
 
@@ -98,44 +96,28 @@ def test_fetch_reachable_within_three_steps_from_anywhere():
             assert state is FsmState.FETCH, (start, op)
 
 
-def test_next_state_and_outputs_are_pure():
+def test_next_state_and_enables_are_pure():
+    policy = GatingPolicy()
     for state in ALL_STATES:
         for op in (Op.NOP, Op.ADD, Op.BCH):
             assert next_state(state, op) is next_state(state, op)
-            assert output_signals(state, op) == output_signals(state, op)
+            assert policy.enables(state, op) == policy.enables(state, op)
 
 
 def test_execute_enables_match_the_policy_table():
+    policy = GatingPolicy()
     for op in ALL_OPS:
-        signals = output_signals(FsmState.EXECUTE, op)
-        assert signals.enables == EXECUTE_ROWS[op.name], op.name
+        enables = policy.enables(FsmState.EXECUTE, op)
+        assert enables == EXECUTE_ROWS[op.name], op.name
 
 
 def test_non_execute_states_have_fixed_enables():
+    policy = GatingPolicy()
     for op in ALL_OPS:
-        assert output_signals(FsmState.FETCH, op).enables == {"rom"}
+        assert policy.enables(FsmState.FETCH, op) == {"rom"}
         for state in (FsmState.RESET1, FsmState.RESET2, FsmState.DECODE,
                       FsmState.IDLE):
-            assert output_signals(state, op).enables == set()
-
-
-def test_datapath_strobes():
-    load = output_signals(FsmState.EXECUTE, Op.LOAD)
-    assert load.reg_write and load.mem_read and not load.mem_write
-    store = output_signals(FsmState.EXECUTE, Op.STORE)
-    assert store.mem_write and not store.reg_write and not store.mem_read
-    add = output_signals(FsmState.EXECUTE, Op.ADD)
-    assert add.reg_write and add.flag_write and not add.pc_load
-    zero = output_signals(FsmState.EXECUTE, Op.ZERO)
-    assert zero.reg_write and zero.flag_write
-    for op in (Op.BI, Op.BGTI, Op.BCH, Op.BEQ, Op.BNEQ, Op.BGT, Op.BLT,
-               Op.BLTE):
-        assert output_signals(FsmState.EXECUTE, op).pc_load
-    nop = output_signals(FsmState.EXECUTE, Op.NOP)
-    assert nop == ControlSignals(enables=frozenset())
-    # Reset forces the pc back to the vector; fetch strobes nothing.
-    assert output_signals(FsmState.RESET1, Op.NOP).pc_load
-    assert not output_signals(FsmState.FETCH, Op.NOP).pc_load
+            assert policy.enables(state, op) == set()
 
 
 def test_policy_rows_are_configurable():
@@ -145,7 +127,7 @@ def test_policy_rows_are_configurable():
     policy.set_gate(Op.NOP, "alu", False)
     assert policy.enables(FsmState.EXECUTE, Op.NOP) == set()
     # Overrides are per-instance; the default table is untouched.
-    assert output_signals(FsmState.EXECUTE, Op.NOP).enables == set()
+    assert GatingPolicy().enables(FsmState.EXECUTE, Op.NOP) == set()
     with pytest.raises(ValueError):
         policy.set_gate(Op.NOP, "dsp", True)
 

@@ -6,6 +6,9 @@ between a fetch and its execute. The simulator and `oracle.run_machine`
 must agree on the architectural state, the I/O log with its cycle
 numbers, the per-module enabled-cycle counts and the controller state
 of every cycle. The derandomised search keeps tier-1 runs repeatable.
+Hand-written cases then pin the edges of block translation: code that
+wraps from 0xFF to 0x00, a block closed by a branch to itself, and
+budgets and injections that land inside a block.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -63,11 +66,10 @@ def arch_state(m):
             m.cycles, m.halted, list(m.io_events), list(m.records))
 
 
-@settings(derandomize=True, max_examples=120, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(case=cases(), reset=st.booleans(), halt=st.booleans())
-def test_core_matches_the_oracle(case, reset, halt):
-    program, budget, injections = case
+def check_against_oracle(program, budget, injections=(), reset=False,
+                         halt=True):
+    """Run `program` on the simulator, in one `run` and tick by tick,
+    and compare both with the oracle. Returns the machine."""
     expected = oracle.run_machine(program, budget, injections, reset=reset,
                                   halt_on_self_loop=halt)
 
@@ -112,3 +114,55 @@ def test_core_matches_the_oracle(case, reset, halt):
                 ticked.inject_port1(value)
         ticked.tick()
     assert arch_state(ticked) == arch_state(m)
+    return m
+
+
+@settings(derandomize=True, max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=cases(), reset=st.booleans(), halt=st.booleans())
+def test_core_matches_the_oracle(case, reset, halt):
+    check_against_oracle(*case, reset=reset, halt=halt)
+
+
+def nops_except(placed):
+    """A full 256-instruction program of NOPs with `placed` {address:
+    instruction} on top, for code the oracle must find past address 0."""
+    return [placed.get(addr, ("NOP", 0, 0, 0)) for addr in range(256)]
+
+
+def test_straight_line_code_wraps_from_0xff_to_0x00():
+    # The block from 0xFC runs 0xFC..0xFF and 0x00, where BI closes it.
+    program = nops_except({
+        0x00: ("BI", 0, 0, 0xFC),
+        0xFC: ("INC", 1, 0, 0),
+        0xFD: ("ADD", 2, 1, 0),
+        0xFE: ("ROL", 2, 0, 0),
+        0xFF: ("SUB", 3, 2, 0),
+    })
+    for budget in (11, 12, 13, 301, 302):
+        check_against_oracle(program, budget)
+
+
+def test_branch_to_itself_closing_a_block_halts_on_that_cycle():
+    program = [("LOADI", 1, 0, 3), ("INC", 2, 0, 0), ("INC", 2, 0, 0),
+               ("BCH", 1, 0, 0)]
+    for halt in (True, False):
+        m = check_against_oracle(program, 100, halt=halt)
+        assert m.halted
+    m = check_against_oracle(program, 100)
+    assert (m.cycles, m.pc, m.regs[2]) == (8, 3, 2)
+
+
+def test_budgets_and_injections_inside_a_block():
+    # A nine-instruction block closed by PORT1, then PORT0 and a branch
+    # back. The budgets and the injections, every third cycle, end runs
+    # and segments inside the blocks of the first three passes.
+    program = [("LOADI", 1, 0, 0x11), ("ADD", 2, 1, 0), ("SHL", 2, 0, 0),
+               ("XOR", 3, 2, 0), ("DEC", 4, 0, 0), ("INC", 5, 0, 0),
+               ("OR", 6, 3, 0), ("SUB", 6, 1, 0), ("PORT1", 7, 0, 0),
+               ("PORT0", 7, 0, 0), ("BI", 0, 0, 1)]
+    for budget in range(1, 61):
+        check_against_oracle(program, budget)
+    for cycle in range(0, 60, 3):
+        check_against_oracle(program, 70, [(cycle, cycle + 1),
+                                           (cycle + 1, 0xA5)])

@@ -1,5 +1,6 @@
 """Execution semantics, cycle accounting, reset/idle, tracing."""
 
+import dataclasses
 import random
 
 import pytest
@@ -15,7 +16,10 @@ from mcusim.isa import (
     RomImage,
     encode,
 )
-from mcusim.machine import Flags, Injection, Machine, RAM_WORDS
+from mcusim.machine import (CycleRecord, Flags, Injection, IoEvent, Machine,
+                            RAM_WORDS)
+from mcusim.peripherals import TxOverflowError
+from mcusim.reference import benchmark_rom
 
 import oracle
 
@@ -277,6 +281,59 @@ def test_halting_mid_drain_leaves_the_byte_queued():
     m.run(1000)  # self-loop halt fires before the drain completes
     assert [e for e in m.io_events if e.device == "uart"] == []
     assert list(m.peripherals.uart.tx_queue) == [0x41]
+
+
+def test_uart_overflow_leaves_the_uarts_unretired():
+    # DEC runs in the block before the UARTS, so its register and flag
+    # writes must survive the overflow. The figures are those of the
+    # cycle-at-a-time core this one replaced.
+    m = machine_for("LOADI R1, 0x41\nloop: DEC R2\nUARTS R1\nBI loop\n")
+    with pytest.raises(TxOverflowError):
+        m.run(100_000)
+    assert (m.pc, m.fsm, m.cycles) == (2, FsmState.EXECUTE, 3834)
+    assert m.regs[:3] == [0, 0x41, 0xFD81]
+    assert m.flags == Flags(z=False, l=False)
+    assert len(m.io_events) == 382
+    assert len(m.peripherals.uart.tx_queue) == 256
+    assert m.peripherals.uart.tx_busy_cycles == 2
+    assert m.records[-1] == CycleRecord(3833, 2, "execute", "UARTS",
+                                        frozenset({"regfile", "uart"}))
+
+
+def test_machines_sharing_a_rom_keep_their_own_gating():
+    # Machines on equal ROMs share one translation; the gating policy
+    # and the ungated mode must stay each machine's own.
+    rom = benchmark_rom()
+
+    def ungated():
+        return Machine(rom, gating=False)
+
+    def overridden():
+        m = Machine(rom)
+        m.policy.set_gate(Op.ADD, "ram", True)
+        m.policy.set_gate(Op.LOAD, "regfile", False)
+        return m
+
+    def observed(m):
+        activity = m.activity()
+        return activity.total_cycles, activity.duties(), m.io_events
+
+    interleaved = [ungated(), overridden()]
+    for stop in range(37, 500, 37):
+        for m in interleaved:
+            m.run(stop, halt_on_self_loop=False)
+    for m, make in zip(interleaved, (ungated, overridden)):
+        fresh = make()
+        fresh.run(interleaved[0].cycles, halt_on_self_loop=False)
+        assert observed(m) == observed(fresh)
+    assert observed(interleaved[0]) != observed(interleaved[1])
+
+
+def test_io_events_are_frozen_and_slotted():
+    event = IoEvent(3, "port0", "out", 0xAA)
+    assert not hasattr(event, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        event.value = 0
 
 
 def test_illegal_opcode_halts_with_context():

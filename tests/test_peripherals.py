@@ -69,25 +69,29 @@ def test_port1_is_level_sensitive():
 def test_uart_divisor_timing():
     uart = Uart(baud_divisor=10)
     uart.send(0x41)
-    assert uart.tick(9) == []
-    assert uart.tick(0) == []
-    assert uart.tick(1) == [0x41]
+    assert uart.tick(9) == (9, [])
+    assert uart.tick(0) == (0, [])
+    assert uart.tick(1) == (1, [(0, 0x41)])
     assert not uart.busy
+    assert uart.tick(5) == (0, [])
 
 
 def test_uart_tick_in_one_gulp():
     uart = Uart(baud_divisor=10)
     uart.send(0x41)
-    assert uart.tick(10) == [0x41]
+    assert uart.tick(10) == (10, [(9, 0x41)])
+    uart.send(0x42)
+    # Busy for the byte's ten cycles only; the offset is from the first.
+    assert uart.tick(25) == (10, [(9, 0x42)])
 
 
 def test_uart_drains_multiple_bytes():
     uart = Uart(baud_divisor=4)
     for b in (1, 2, 3):
         uart.send(b)
-    assert uart.tick(8) == [1, 2]
-    assert uart.tick(3) == []
-    assert uart.tick(1) == [3]
+    assert uart.tick(8) == (8, [(3, 1), (7, 2)])
+    assert uart.tick(3) == (3, [])
+    assert uart.tick(1) == (1, [(0, 3)])
 
 
 def test_uart_preserves_byte_order():
@@ -100,8 +104,8 @@ def test_uart_preserves_byte_order():
             byte = rng.randrange(256)
             uart.send(byte)
             sent.append(byte)
-        received.extend(uart.tick(rng.randrange(6)))
-    received.extend(uart.tick(3 * FIFO_DEPTH))
+        received.extend(byte for _, byte in uart.tick(rng.randrange(6))[1])
+    received.extend(byte for _, byte in uart.tick(3 * FIFO_DEPTH)[1])
     assert received == sent
 
 

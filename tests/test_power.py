@@ -11,6 +11,7 @@ from mcusim.power import (
     ActivityTrace,
     EmptyTraceError,
     InfeasibleTargetsError,
+    NoCapacitanceError,
     PowerConfig,
     calibrate,
     estimate,
@@ -38,6 +39,11 @@ def flat_config(cap=1e-12, **overrides) -> PowerConfig:
     caps = dict.fromkeys(GATED_MODULES, cap)
     caps[CONTROL_NODE] = cap
     return PowerConfig(cap=caps, **overrides)
+
+
+def test_estimate_rejects_an_all_zero_capacitance_table():
+    with pytest.raises(NoCapacitanceError):
+        estimate(mixed_trace(), flat_config(cap=0.0))
 
 
 def test_duty_accounting():
