@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Regenerate src/mcusim/data/default_power.cfg.
 
-Runs the packaged reference workload with gating enabled, calibrates
-the capacitance table against the shipped gated/ungated targets, and
-writes the result as the packaged default configuration. Run it after
-any change that shifts the workload's activity profile (the workload
-itself, the gating policy, cycle accounting) and commit the new file.
+Runs the packaged reference workload under the default gating policy,
+calibrates the capacitance table against the shipped gated/ungated
+targets, and writes the result as the packaged default configuration.
+Run it after any change that shifts the workload's activity profile
+(the workload itself, the gating policy, cycle accounting) and commit
+the new file. `render()` returns the file's text without writing it.
 """
 
 import pathlib
@@ -25,8 +26,9 @@ OUT = (pathlib.Path(__file__).resolve().parents[1]
        / "src" / "mcusim" / "data" / "default_power.cfg")
 
 
-def main() -> None:
-    trace = benchmark_activity(gating=True)
+def render() -> str:
+    """The default configuration, calibrated on the reference workload."""
+    trace = benchmark_activity()
     config = calibrate(trace)
     duties = trace.duties()
 
@@ -57,7 +59,11 @@ def main() -> None:
     assert config.f_hz == DEFAULT_F_HZ
     for node, cap in config.cap.items():
         lines.append(f"power.cap.{node} = {cap!r}")
-    OUT.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(lines) + "\n"
+
+
+def main() -> None:
+    OUT.write_text(render(), encoding="utf-8")
     print(f"wrote {OUT}")
 
 

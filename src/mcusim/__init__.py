@@ -25,7 +25,7 @@ from .isa import (
     encode,
 )
 from .machine import Flags, Injection, Machine, RunResult, StepOutcome
-from .peripherals import RxOverflowError, TxOverflowError, bcd_to_7seg
+from .peripherals import TxOverflowError, bcd_to_7seg
 from .power import (
     ActivityTrace,
     PowerConfig,
@@ -53,7 +53,6 @@ __all__ = [
     "PowerReport",
     "RomImage",
     "RunResult",
-    "RxOverflowError",
     "SimConfig",
     "StepOutcome",
     "TxOverflowError",

@@ -5,7 +5,7 @@ Exit codes are part of the interface:
     0   success
     1   file, assembly, or configuration errors
     2   the program fetched an unassigned opcode
-    3   a peripheral FIFO overflowed
+    3   the UART transmit FIFO overflowed
     64  usage errors (bad flags or argument values)
 """
 
@@ -19,10 +19,10 @@ import sys
 from .asm import AsmError, RomFileError, assemble, disassemble, \
     format_rom_file, parse_rom_file
 from .config import ConfigError, SimConfig, default_config, load_config
-from .control import GATED_MODULES
+from .control import GATED_MODULES, GatingPolicy
 from .isa import IllegalOpcodeError, RomImage
 from .machine import Injection, Machine
-from .peripherals import RxOverflowError, TxOverflowError
+from .peripherals import TxOverflowError
 from .power import CONTROL_NODE, PowerReport, estimate
 from .reference import BENCHMARK_MAX_CYCLES
 
@@ -221,8 +221,9 @@ def cmd_run(args, parser: _Parser) -> int:
         except ValueError as exc:
             return _fail(f"{args.inject}: {exc}")
 
-    machine = Machine(rom, policy=config.gating_policy(),
-                      gating=not args.no_gating)
+    policy = (GatingPolicy.ungated() if args.no_gating
+              else config.gating_policy())
+    machine = Machine(rom, policy=policy)
     machine.reset()
 
     status = EXIT_OK
@@ -235,7 +236,7 @@ def cmd_run(args, parser: _Parser) -> int:
         print(f"mcusim: error: {exc} at pc={machine.pc:#04x}, "
               f"cycle {machine.cycles - 1}", file=sys.stderr)
         status = EXIT_ILLEGAL_OPCODE
-    except (TxOverflowError, RxOverflowError) as exc:
+    except TxOverflowError as exc:
         print(f"mcusim: error: {exc} at cycle {machine.cycles}",
               file=sys.stderr)
         status = EXIT_OVERFLOW

@@ -1,9 +1,10 @@
-"""Control unit: next-state logic and per-module clock enables.
+"""Control unit: controller states and per-module clock enables.
 
-`next_state` and `GatingPolicy.enables` are the pure combinational half
-of the classic two-process machine; the machine's core holds the state
-register. The control path itself is never gated; it is what observes
-reset and the idle-mode wake interrupt.
+`GatingPolicy` is the whole enable table, (state, opcode) -> modules;
+the machine's core holds the state register and its transitions. The
+control path itself is never gated; it is what observes reset and the
+idle-mode wake interrupt. Running without gating is the policy that
+enables every module in every row, on the same core.
 """
 
 from __future__ import annotations
@@ -23,12 +24,12 @@ NONE_ENABLED: frozenset[str] = frozenset()
 
 
 class FsmState(Enum):
-    """Controller states; values are the names written to trace files."""
+    """Controller states, each one cycle long; values are the names
+    written to trace files. Decode is combinational and takes no cycle."""
 
     RESET1 = "reset1"
     RESET2 = "reset2"
     FETCH = "fetch"
-    DECODE = "decode"
     EXECUTE = "execute"
     IDLE = "idle"
 
@@ -60,14 +61,12 @@ def _default_execute_rows() -> dict[Op, frozenset[str]]:
     return rows
 
 
-# Enables for the states whose activity does not depend on the opcode.
-_STATE_ROWS = {
-    FsmState.RESET1: NONE_ENABLED,
-    FsmState.RESET2: NONE_ENABLED,
-    FsmState.FETCH: frozenset({"rom"}),
-    FsmState.DECODE: NONE_ENABLED,
-    FsmState.IDLE: NONE_ENABLED,
-}
+def _default_state_rows() -> dict[FsmState, frozenset[str]]:
+    """Enables of the states whose activity does not depend on the
+    opcode: fetch clocks the ROM; reset and idle clock nothing beyond
+    the control path."""
+    return {FsmState.RESET1: NONE_ENABLED, FsmState.RESET2: NONE_ENABLED,
+            FsmState.FETCH: frozenset({"rom"}), FsmState.IDLE: NONE_ENABLED}
 
 
 @dataclass
@@ -75,17 +74,24 @@ class GatingPolicy:
     """Total table (state, opcode) -> enabled modules.
 
     Only the execute-state rows vary by opcode and only they are
-    configurable; fetch always clocks the ROM, and reset, decode, and
-    idle clock nothing beyond the control path.
+    configurable; `state_rows` holds the other states' enables.
     """
 
     execute_rows: dict[Op, frozenset[str]] = field(
         default_factory=_default_execute_rows)
+    state_rows: dict[FsmState, frozenset[str]] = field(
+        default_factory=_default_state_rows)
+
+    @classmethod
+    def ungated(cls) -> GatingPolicy:
+        """Every module clocked in every cycle: no gating at all."""
+        return cls(dict.fromkeys(Op, ALL_ENABLED),
+                   dict.fromkeys(_default_state_rows(), ALL_ENABLED))
 
     def enables(self, state: FsmState, opcode: Op) -> frozenset[str]:
         if state is FsmState.EXECUTE:
             return self.execute_rows[opcode]
-        return _STATE_ROWS[state]
+        return self.state_rows[state]
 
     def set_gate(self, opcode: Op, module: str, enabled: bool) -> None:
         """Override one execute-row entry (config `gate.<op>.<module>`)."""
@@ -97,30 +103,3 @@ class GatingPolicy:
         else:
             row.discard(module)
         self.execute_rows[opcode] = frozenset(row)
-
-
-def next_state(current: FsmState, opcode: Op, reset: bool = False,
-               interrupt: bool = False) -> FsmState:
-    """Combinational next-state function.
-
-    Reset dominates everything. The main loop is fetch -> decode ->
-    execute -> fetch; idle holds until an interrupt wakes it. The
-    opcode input is accepted (the decoder feeds the state logic in
-    hardware) but no transition currently depends on it.
-    """
-    del opcode
-    if reset:
-        return FsmState.RESET1
-    if current is FsmState.RESET1:
-        return FsmState.RESET2
-    if current is FsmState.RESET2:
-        return FsmState.FETCH
-    if current is FsmState.FETCH:
-        return FsmState.DECODE
-    if current is FsmState.DECODE:
-        return FsmState.EXECUTE
-    if current is FsmState.EXECUTE:
-        return FsmState.FETCH
-    # idle: wait for the wake interrupt
-    return FsmState.FETCH if interrupt else FsmState.IDLE
-

@@ -8,8 +8,10 @@ cycle before the first fetch.
 
 The UART transmitter needs its clock while a byte is draining, so its
 enable is held high during those cycles regardless of what the current
-instruction is doing (except in idle mode, which stops every module
-clock and freezes the drain).
+instruction is doing, except in idle mode, where the policy's idle row
+alone decides. The UART advances on exactly the cycles whose enables
+include it: gated, idle stops every module clock and freezes the drain;
+ungated, the drain goes on.
 
 The ROM is read-only once a `Machine` is built, so the core translates
 it, block by block, into Python. The first time the core fetches from a
@@ -22,7 +24,8 @@ Each cycle leaves one 16-bit cycle-class code in a log: the pc, the
 controller state and whether the UART was busy. The opcode is a
 function of the pc and the clock enables a function of (state, opcode,
 busy, policy), so the code carries everything a trace row holds;
-`Machine.describe_class` turns a code back into a row.
+`Machine.describe_class` turns a code back into a row. Gating is only
+the policy: running ungated is `GatingPolicy.ungated()` on this core.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .control import ALL_ENABLED, FsmState, GatingPolicy
+from .control import FsmState, GatingPolicy
 from .isa import (IO_OPS, ROM_WORDS, IllegalOpcodeError, Instruction, Op,
                   RomImage, decode)
 from .peripherals import Peripherals, TxOverflowError
@@ -44,8 +47,7 @@ PC_MASK = 0xFF
 
 # Controller states as the core numbers them; `_STATES` maps them back.
 _RESET1, _RESET2, _FETCH, _EXECUTE, _IDLE = range(5)
-_STATES = (FsmState.RESET1, FsmState.RESET2, FsmState.FETCH,
-           FsmState.EXECUTE, FsmState.IDLE)
+_STATES = tuple(FsmState)
 
 # Cycle-class code: pc | state << 8 | uart_busy << 11.
 _STATE_SHIFT = 8
@@ -112,11 +114,11 @@ class Injection:
     """A host-driven input applied just before the given cycle ticks."""
 
     cycle: int
-    kind: str  # port1 | uart_rx
+    kind: str  # port1
     value: int
 
     def __post_init__(self):
-        if self.kind not in ("port1", "uart_rx"):
+        if self.kind != "port1":
             raise ValueError(f"unknown injection kind '{self.kind}'")
         if self.cycle < 0:
             raise ValueError("injection cycle must be >= 0")
@@ -203,7 +205,8 @@ def _compile_block(table, words, start: int, limit: int,
     before the block has changed anything. An illegal word at `start`
     is a one-cycle block that raises in its fetch. The codes are the
     block's cycle-class codes without and with the UART-busy bit; the
-    self-loop pc is that of a closing BI or BCH, otherwise -1.
+    self-loop pc is that of a closing branch, otherwise -1: a branch
+    writes no flags, so one taken to itself repeats forever.
     """
     body: list[str] = []
     codes: list[int] = []
@@ -228,8 +231,7 @@ def _compile_block(table, words, start: int, limit: int,
             source = source.format(d=rd, s=rs, i=imm, n=nxt)
             body += source.split("; ")
         if source.startswith("pc = "):
-            if op in (Op.BI, Op.BCH):
-                loop_pc = pc
+            loop_pc = pc
             break
         pc = nxt
         if op in IO_OPS:
@@ -299,7 +301,8 @@ class Machine:
     The ROM must not change once the machine is built: the core runs it
     as Python blocks translated the first time it reaches them, once
     per ROM content and process, so machines on equal ROMs share them.
-    The gating policy is not part of the translation. Every cycle costs
+    The gating policy is not part of the translation; without gating,
+    pass `GatingPolicy.ungated()`. Every cycle costs
     about 2 bytes of memory, one code in the cycle-class log. `records`
     builds the per-cycle trace rows from that log on every access, at
     O(cycles) cost; `activity()` folds the log into per-module
@@ -307,11 +310,9 @@ class Machine:
     """
 
     def __init__(self, rom: RomImage | None = None, *,
-                 policy: GatingPolicy | None = None, gating: bool = True,
-                 uart_divisor: int = 10):
+                 policy: GatingPolicy | None = None, uart_divisor: int = 10):
         self.rom = rom if rom is not None else RomImage()
         self.policy = policy if policy is not None else GatingPolicy()
-        self.gating = gating
         self.regs = [0] * 8
         self.pc = 0
         self.flags = Flags()
@@ -358,9 +359,6 @@ class Machine:
     def inject_port1(self, value: int) -> None:
         self.peripherals.ports.inject_port1(value)
 
-    def inject_uart_rx(self, value: int) -> None:
-        self.peripherals.uart.inject_rx(value)
-
     # -- the cycle-class log ---------------------------------------------
 
     @property
@@ -382,12 +380,9 @@ class Machine:
             entry = (self._code.table[pc]
                      if state in (FsmState.FETCH, FsmState.EXECUTE) else None)
             op = Op(entry[0]) if entry is not None else None
-            if not self.gating:
-                enables = ALL_ENABLED
-            else:
-                enables = self.policy.enables(state, op or Op.NOP)
-                if code & _BUSY and state is not FsmState.IDLE:
-                    enables = enables | {"uart"}
+            enables = self.policy.enables(state, op or Op.NOP)
+            if code & _BUSY and state is not FsmState.IDLE:
+                enables = enables | {"uart"}
             row = (pc, state.value, op.name if op is not None else "-",
                    enables)
             self._classes[code] = row
@@ -437,8 +432,6 @@ class Machine:
         extend = self._log.extend
         txq = self.peripherals.uart.tx_queue
         span = self._span
-        # Ungated, every clock runs in idle too, so the UART keeps draining.
-        drain_in_idle = not self.gating
         try:
             while cycle < stop:
                 if state == _FETCH:
@@ -469,7 +462,7 @@ class Machine:
                     if txq:
                         span(cycle, array("H", [here]),
                              array("H", [here | _BUSY]),
-                             state != _IDLE or drain_in_idle)
+                             "uart" in self.describe_class(here | _BUSY)[3])
                     else:
                         emit(here)
                     cycle += 1
@@ -483,7 +476,7 @@ class Machine:
                 cycle += n
                 pc, z, l = run(regs, ram, z, l, cycle, self)
                 if pc == loop_pc:
-                    # Unconditional branch to itself: the spin-forever idiom.
+                    # A branch taken to itself: the spin-forever idiom.
                     self.halted = True
                     self.halt_reason = "self-loop"
                     if halt_on_self_loop:
@@ -502,7 +495,8 @@ class Machine:
               clocked: bool = True) -> None:
         """Log the cycle-class codes of consecutive cycles from `cycle`
         on, given without (`plain`) and with (`busy`) the UART-busy bit,
-        and advance the UART over them when its clock runs."""
+        and advance the UART over them when `clocked`, that is when the
+        busy codes enable it."""
         uart = self.peripherals.uart
         held = len(plain) if uart.tx_queue else 0
         if held and clocked:
@@ -556,11 +550,7 @@ class Machine:
         i = 0
         while self.cycles < max_cycles:
             while i < len(pending) and pending[i].cycle <= self.cycles:
-                inj = pending[i]
-                if inj.kind == "port1":
-                    self.inject_port1(inj.value)
-                else:
-                    self.inject_uart_rx(inj.value)
+                self.inject_port1(pending[i].value)
                 i += 1
             stop = max_cycles
             if i < len(pending):

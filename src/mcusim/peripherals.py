@@ -32,10 +32,6 @@ class TxOverflowError(Exception):
     """UART transmit FIFO is full."""
 
 
-class RxOverflowError(Exception):
-    """UART receive FIFO is full."""
-
-
 @dataclass
 class PortState:
     """Port 0 latches output bytes; port 1 is a level-sensitive input."""
@@ -59,8 +55,8 @@ class Uart:
     """Byte-granularity UART: one byte leaves per baud_divisor cycles.
 
     No start/stop framing is modeled; the divisor is the whole cost of
-    a byte. Transmit is driven by the instruction stream, receive only
-    by host injection.
+    a byte. Only the transmitter is modeled, driven by the instruction
+    stream; no instruction reads a receiver.
     """
 
     def __init__(self, baud_divisor: int = 10):
@@ -68,7 +64,6 @@ class Uart:
             raise ValueError("baud divisor must be at least 1")
         self.baud_divisor = baud_divisor
         self.tx_queue: deque[int] = deque()
-        self.rx_queue: deque[int] = deque()
         self.tx_busy_cycles = 0
 
     @property
@@ -100,18 +95,8 @@ class Uart:
                 sent.append((spent - 1, queue.popleft()))
         return spent, sent
 
-    def inject_rx(self, byte: int) -> None:
-        if len(self.rx_queue) >= FIFO_DEPTH:
-            raise RxOverflowError(
-                f"receive FIFO full ({FIFO_DEPTH} bytes pending)")
-        self.rx_queue.append(byte & 0xFF)
-
-    def rx_pop(self) -> int | None:
-        return self.rx_queue.popleft() if self.rx_queue else None
-
     def reset(self) -> None:
         self.tx_queue.clear()
-        self.rx_queue.clear()
         self.tx_busy_cycles = 0
 
 

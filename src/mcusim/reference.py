@@ -31,13 +31,13 @@ def benchmark_rom() -> RomImage:
     return image
 
 
-def run_benchmark(gating: bool = True) -> Machine:
+def run_benchmark() -> Machine:
     """Run the workload the way the command line does: reset first."""
-    machine = Machine(benchmark_rom(), gating=gating)
+    machine = Machine(benchmark_rom())
     machine.reset()
     machine.run(BENCHMARK_MAX_CYCLES)
     return machine
 
 
-def benchmark_activity(gating: bool = True) -> ActivityTrace:
-    return run_benchmark(gating=gating).activity()
+def benchmark_activity() -> ActivityTrace:
+    return run_benchmark().activity()

@@ -218,7 +218,7 @@ def run_machine(program, budget, injections=(), reset=False,
         if mnemonic in BRANCHES:
             target = branch_target(s, mnemonic, rd, imm)
             s.pc = (here + 1) & 0xFF if target is None else target
-            if mnemonic in ("BI", "BCH") and target == here:
+            if target == here:  # branches write no flags: a fixed point
                 s.halted = True
                 if halt_on_self_loop:
                     break

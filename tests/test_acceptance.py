@@ -12,13 +12,14 @@ import time
 from mcusim.asm import assemble, disassemble
 from mcusim.clocking import CONTROL_WORDS, frequency_of
 from mcusim.config import default_config
-from mcusim.control import GATED_MODULES, FsmState, next_state
+from mcusim.control import GATED_MODULES, FsmState, GatingPolicy
 from mcusim.isa import FORMATS, Format, Instruction, Op, RomImage, decode, encode
 from mcusim.machine import Machine
 from mcusim.power import ActivityTrace, estimate, power_per_mhz
 from mcusim.reference import run_benchmark
 
 import oracle
+from test_control import machine_in, states_after
 from test_machine import encode_tuple, random_linear_program
 
 
@@ -46,7 +47,7 @@ def _arch_state(m):
         tuple(m.regs), m.pc, m.flags.z, m.flags.l, bytes(m.ram),
         m.peripherals.ports.port0_latch, m.peripherals.ports.port1_input,
         seg.segments, seg.last_digit,
-        tuple(uart.tx_queue), tuple(uart.rx_queue), uart.tx_busy_cycles,
+        tuple(uart.tx_queue), uart.tx_busy_cycles,
         m.halted, m.halt_reason, m.cycles,
     )
 
@@ -63,15 +64,14 @@ def _module_digests(m):
         "rom": hash(tuple(m.rom.words)),
         "port0": hash(ports.port0_latch),
         "port1": hash(ports.port1_input),
-        "uart": hash((tuple(uart.tx_queue), tuple(uart.rx_queue),
-                      uart.tx_busy_cycles)),
+        "uart": hash((tuple(uart.tx_queue), uart.tx_busy_cycles)),
         "sevenseg": hash((seg.segments, seg.last_digit)),
     }
 
 
 def test_acceptance_1_power_reproduction():
     t0 = time.perf_counter()
-    result = run_benchmark(gating=True)
+    result = run_benchmark()
     trace = ActivityTrace.from_records(result.records)
     report = estimate(trace, default_config().power_config())
     elapsed = time.perf_counter() - t0
@@ -94,7 +94,7 @@ def test_acceptance_2_power_per_mhz_and_linearity():
     t0 = time.perf_counter()
     config = default_config()
     slope = power_per_mhz(config.power_config())
-    trace = ActivityTrace.from_records(run_benchmark(gating=True).records)
+    trace = ActivityTrace.from_records(run_benchmark().records)
 
     worst_rel = 0.0
     for word in range(CONTROL_WORDS):
@@ -173,8 +173,8 @@ def test_acceptance_5_gating_is_functionally_transparent():
         port1 = rng.randrange(256)
 
         finals = []
-        for gating in (True, False):
-            m = Machine(rom, gating=gating)
+        for policy in (GatingPolicy(), GatingPolicy.ungated()):
+            m = Machine(rom, policy=policy)
             m.inject_port1(port1)
             m.run(300)
             finals.append((_arch_state(m), tuple(m.io_events)))
@@ -255,32 +255,47 @@ def test_acceptance_7_gated_modules_hold_state():
 
 
 def test_acceptance_8_control_state_machine():
+    # Every property is driven on a real machine, from each state it can
+    # be in, with each opcode at the pc.
     states = list(FsmState)
     ops = list(Op)
+    seen = set()
+
+    def run_from(state, op, *, irq=False, reset=False, cycles=1):
+        m = machine_in(state, op)
+        if irq:
+            m.interrupt()
+        if reset:
+            m.reset()
+        observed = states_after(m, cycles)
+        seen.update(observed)
+        return observed
 
     reset_ok = all(
-        next_state(s, op, reset=True, interrupt=irq) is FsmState.RESET1
+        run_from(s, op, irq=irq, reset=True) == [FsmState.RESET1]
         for s in states for op in ops for irq in (False, True))
 
-    def two_after_reset(state, op):
-        s = next_state(state, op, reset=True)
-        s = next_state(s, op)
-        return next_state(s, op)
-
-    pulse_ok = all(two_after_reset(s, op) is FsmState.FETCH
-                   for s in states for op in ops)
+    pulse_ok = all(
+        run_from(s, op, reset=True, cycles=4)
+        == [FsmState.RESET1, FsmState.RESET2, FsmState.FETCH,
+            FsmState.EXECUTE]
+        for s in states for op in ops)
 
     idle_ok = all(
-        next_state(FsmState.IDLE, op) is FsmState.IDLE
-        and next_state(FsmState.IDLE, op, interrupt=True) is FsmState.FETCH
-        and next_state(FsmState.IDLE, op, reset=True) is FsmState.RESET1
+        run_from(FsmState.IDLE, op, cycles=4) == [FsmState.IDLE] * 4
+        and run_from(FsmState.IDLE, op, irq=True, cycles=2)
+        == [FsmState.IDLE, FsmState.FETCH]
+        and run_from(FsmState.IDLE, op, irq=True, reset=True)
+        == [FsmState.RESET1]
         for op in ops)
 
-    ok = reset_ok and pulse_ok and idle_ok
+    every_state_ok = seen == set(states)
+    ok = reset_ok and pulse_ok and idle_ok and every_state_ok
     _verdict(
         "control state machine",
         ok,
-        f"exhaustive over {len(states)} states x {len(ops)} opcodes: "
-        f"reset dominates={reset_ok}, fetch 2 cycles after reset pulse="
-        f"{pulse_ok}, idle leaves only on interrupt or reset={idle_ok}",
+        f"exhaustive over {len(states)} states x {len(ops)} opcodes on "
+        f"the machine: reset dominates={reset_ok}, fetch 2 cycles after "
+        f"reset pulse={pulse_ok}, idle leaves only on interrupt or "
+        f"reset={idle_ok}, every state takes a cycle={every_state_ok}",
     )

@@ -178,6 +178,33 @@ def test_bad_injection_script_exits_1(bench_rom, tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+def test_uart_rx_injections_are_rejected(bench_rom, tmp_path, capsys):
+    # No instruction reads a UART receiver, so there is no rx stimulus.
+    script = tmp_path / "rx.txt"
+    script.write_text("# receive\n12 uart_rx 41\n")
+    assert run_cli("run", "--rom", str(bench_rom),
+                   "--inject", str(script)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"mcusim: error: {script}: line 2: unknown "
+                            "injection kind 'uart_rx'\n")
+
+
+def test_conditional_branch_to_itself_halts_unless_told_not_to(tmp_path,
+                                                              capsys):
+    src = tmp_path / "spin.asm"
+    src.write_text("ZERO R0\nLOADI R1, 2\nspin: BEQ R1\n")
+    rom = tmp_path / "spin.rom"
+    assert run_cli("asm", str(src), str(rom)) == 0
+    report = tmp_path / "power.txt"
+    # The run starts with two reset cycles.
+    for flags, cycles in (((), 8), (("--no-self-loop-halt",), 500)):
+        assert run_cli("run", "--rom", str(rom), "--max-cycles", "500",
+                       "--report-out", str(report), *flags) == 0
+        assert f"cycles: {cycles}\n" in report.read_text()
+    capsys.readouterr()
+
+
 def test_report_text_and_csv(bench_rom, tmp_path, capsys):
     report = tmp_path / "power.txt"
     assert run_cli("run", "--rom", str(bench_rom), "--report-out",

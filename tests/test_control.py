@@ -1,4 +1,5 @@
-"""Control FSM transitions and the clock-enable policy."""
+"""Controller transitions, driven on a real machine, and the
+clock-enable policy."""
 
 import pytest
 
@@ -7,9 +8,9 @@ from mcusim.control import (
     GATED_MODULES,
     FsmState,
     GatingPolicy,
-    next_state,
 )
-from mcusim.isa import Op
+from mcusim.isa import Instruction, Op, RomImage, encode
+from mcusim.machine import Machine
 
 ALL_STATES = list(FsmState)
 ALL_OPS = list(Op)
@@ -50,57 +51,86 @@ EXECUTE_ROWS = {
 }
 
 
+def machine_in(state, op):
+    """A fresh machine whose next cycle runs in `state`, with `op` (all
+    operand fields zero) at the pc that cycle sees."""
+    m = Machine(RomImage([encode(Instruction(op))]))
+    if state in (FsmState.RESET1, FsmState.RESET2):
+        m.reset()
+        if state is FsmState.RESET2:
+            m.tick()
+    elif state is FsmState.EXECUTE:
+        m.tick()
+    elif state is FsmState.IDLE:
+        m.force_idle()
+    assert m.fsm is state and m.pc == 0
+    return m
+
+
+def states_after(m, cycles):
+    """The controller state of each of the next `cycles` cycles."""
+    return [FsmState(m.tick().fsm_state) for _ in range(cycles)]
+
+
 def test_reset_dominates_from_every_state_and_opcode():
     for state in ALL_STATES:
         for op in ALL_OPS:
-            assert next_state(state, op, reset=True) is FsmState.RESET1
-            assert next_state(state, op, reset=True,
-                              interrupt=True) is FsmState.RESET1
+            for irq in (False, True):
+                m = machine_in(state, op)
+                if irq:
+                    m.interrupt()
+                m.reset()
+                assert states_after(m, 1) == [FsmState.RESET1]
 
 
 def test_main_loop_transitions():
-    assert next_state(FsmState.RESET1, Op.NOP) is FsmState.RESET2
-    assert next_state(FsmState.RESET2, Op.NOP) is FsmState.FETCH
-    assert next_state(FsmState.FETCH, Op.NOP) is FsmState.DECODE
-    assert next_state(FsmState.DECODE, Op.ADD) is FsmState.EXECUTE
-    assert next_state(FsmState.EXECUTE, Op.ADD) is FsmState.FETCH
+    m = machine_in(FsmState.RESET1, Op.ADD)
+    assert states_after(m, 6) == [
+        FsmState.RESET1, FsmState.RESET2, FsmState.FETCH, FsmState.EXECUTE,
+        FsmState.FETCH, FsmState.EXECUTE]
 
 
 def test_idle_holds_until_interrupt():
-    assert next_state(FsmState.IDLE, Op.NOP) is FsmState.IDLE
-    assert next_state(FsmState.IDLE, Op.NOP, interrupt=True) is FsmState.FETCH
+    m = machine_in(FsmState.IDLE, Op.NOP)
+    assert states_after(m, 3) == [FsmState.IDLE] * 3
+    m.interrupt()
+    # The waking cycle is itself an idle one; fetch follows it.
+    assert states_after(m, 2) == [FsmState.IDLE, FsmState.FETCH]
 
 
 def test_transitions_ignore_the_opcode():
     for state in ALL_STATES:
-        targets = {next_state(state, op) for op in ALL_OPS}
-        assert len(targets) == 1
+        targets = set()
+        for op in ALL_OPS:
+            m = machine_in(state, op)
+            m.tick()
+            targets.add(m.fsm)
+        assert len(targets) == 1, state
 
 
 def test_reset_pulse_reaches_fetch_in_two_more_cycles():
-    state = next_state(FsmState.EXECUTE, Op.ADD, reset=True)
-    assert state is FsmState.RESET1
-    state = next_state(state, Op.NOP)
-    state = next_state(state, Op.NOP)
-    assert state is FsmState.FETCH
+    m = machine_in(FsmState.EXECUTE, Op.ADD)
+    m.reset()
+    assert states_after(m, 3) == [FsmState.RESET1, FsmState.RESET2,
+                                  FsmState.FETCH]
 
 
 def test_fetch_reachable_within_three_steps_from_anywhere():
     for start in ALL_STATES:
         for op in ALL_OPS:
-            state = start
-            for steps in range(1, 4):
-                state = next_state(state, op, interrupt=True)
-                if state is FsmState.FETCH:
+            m = machine_in(start, op)
+            for _ in range(3):
+                m.interrupt()
+                m.tick()
+                if m.fsm is FsmState.FETCH:
                     break
-            assert state is FsmState.FETCH, (start, op)
+            assert m.fsm is FsmState.FETCH, (start, op)
 
 
-def test_next_state_and_enables_are_pure():
+def test_enables_are_pure():
     policy = GatingPolicy()
     for state in ALL_STATES:
         for op in (Op.NOP, Op.ADD, Op.BCH):
-            assert next_state(state, op) is next_state(state, op)
             assert policy.enables(state, op) == policy.enables(state, op)
 
 
@@ -115,8 +145,7 @@ def test_non_execute_states_have_fixed_enables():
     policy = GatingPolicy()
     for op in ALL_OPS:
         assert policy.enables(FsmState.FETCH, op) == {"rom"}
-        for state in (FsmState.RESET1, FsmState.RESET2, FsmState.DECODE,
-                      FsmState.IDLE):
+        for state in (FsmState.RESET1, FsmState.RESET2, FsmState.IDLE):
             assert policy.enables(state, op) == set()
 
 
@@ -136,3 +165,14 @@ def test_module_name_order_is_the_trace_column_order():
     assert GATED_MODULES == ("regfile", "alu", "ram", "rom", "port0",
                              "port1", "uart", "sevenseg")
     assert ALL_ENABLED == frozenset(GATED_MODULES)
+
+
+def test_ungated_policy_enables_everything_everywhere():
+    policy = GatingPolicy.ungated()
+    for state in ALL_STATES:
+        for op in ALL_OPS:
+            assert policy.enables(state, op) == ALL_ENABLED
+    # Gate overrides edit execute rows only, as on a gated policy.
+    policy.set_gate(Op.NOP, "alu", False)
+    assert policy.enables(FsmState.EXECUTE, Op.NOP) == ALL_ENABLED - {"alu"}
+    assert policy.enables(FsmState.FETCH, Op.NOP) == ALL_ENABLED

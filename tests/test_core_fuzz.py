@@ -7,14 +7,16 @@ must agree on the architectural state, the I/O log with its cycle
 numbers, the per-module enabled-cycle counts and the controller state
 of every cycle. The derandomised search keeps tier-1 runs repeatable.
 Hand-written cases then pin the edges of block translation: code that
-wraps from 0xFF to 0x00, a block closed by a branch to itself, and
-budgets and injections that land inside a block.
+wraps from 0xFF to 0x00, a block closed by a branch to itself, each
+conditional branch taken and not taken to itself, and budgets and
+injections that land inside a block.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mcusim.control import GATED_MODULES, FsmState, next_state
+from mcusim.control import GATED_MODULES
 from mcusim.isa import Op, RomImage
 from mcusim.machine import Injection, Machine
 
@@ -47,18 +49,6 @@ def cases(draw):
     injections = [(rng.randrange(budget + 1), rng.randrange(256))
                   for _ in range(rng.randint(0, 4))]
     return program, budget, injections
-
-
-def follows_next_state(states):
-    """Each state is `next_state` of the one before, passing through
-    the combinational DECODE state without a cycle of its own."""
-    for before, after in zip(states, states[1:]):
-        state = next_state(FsmState(before), Op.NOP)
-        if state is FsmState.DECODE:
-            state = next_state(state, Op.NOP)
-        if state.value != after:
-            return False
-    return True
 
 
 def arch_state(m):
@@ -99,9 +89,7 @@ def check_against_oracle(program, budget, injections=(), reset=False,
         module: expected.enabled[module] / expected.cycles
         for module in GATED_MODULES}
 
-    states = [r.fsm_state for r in m.records]
-    assert states == expected.states
-    assert follows_next_state(states)
+    assert [r.fsm_state for r in m.records] == expected.states
 
     # tick() drives the same core one cycle at a time.
     ticked = Machine(m.rom)
@@ -151,6 +139,35 @@ def test_branch_to_itself_closing_a_block_halts_on_that_cycle():
         assert m.halted
     m = check_against_oracle(program, 100)
     assert (m.cycles, m.pc, m.regs[2]) == (8, 3, 2)
+
+
+# Flag set-ups: ZERO R0 sets z, DEC R0 on a zero R0 sets l, NOP leaves
+# both clear.
+SET_FLAGS = {"z": ("ZERO", 0, 0, 0), "l": ("DEC", 0, 0, 0),
+             "none": ("NOP", 0, 0, 0)}
+
+
+@pytest.mark.parametrize("mnemonic, taken, not_taken", [
+    ("BEQ", "z", "none"), ("BNEQ", "none", "z"), ("BGT", "none", "z"),
+    ("BLT", "l", "none"), ("BLTE", "z", "none"), ("BGTI", "none", "z"),
+])
+def test_conditional_branch_taken_to_itself_halts(mnemonic, taken,
+                                                  not_taken):
+    # The branch at address 2 targets address 2, through R1 or its
+    # immediate. Branches write no flags, so taken once it is taken
+    # forever.
+    def program(flags):
+        return [SET_FLAGS[flags], ("LOADI", 1, 0, 2), (mnemonic, 1, 0, 2)]
+
+    m = check_against_oracle(program(taken), 1000)
+    assert (m.halted, m.halt_reason, m.cycles, m.pc) == (
+        True, "self-loop", 6, 2)
+    # Without the halt it spins to the budget.
+    m = check_against_oracle(program(taken), 1000, halt=False)
+    assert (m.cycles, m.pc) == (1000, 2)
+    # Not taken, it falls through into the NOPs and runs on.
+    m = check_against_oracle(program(not_taken), 1000)
+    assert (m.halted, m.halt_reason, m.cycles) == (False, None, 1000)
 
 
 def test_budgets_and_injections_inside_a_block():

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from mcusim.asm import assemble
-from mcusim.control import ALL_ENABLED, FsmState
+from mcusim.control import ALL_ENABLED, FsmState, GatingPolicy
 from mcusim.isa import (
     FORMATS,
     Format,
@@ -301,12 +301,12 @@ def test_uart_overflow_leaves_the_uarts_unretired():
 
 
 def test_machines_sharing_a_rom_keep_their_own_gating():
-    # Machines on equal ROMs share one translation; the gating policy
-    # and the ungated mode must stay each machine's own.
+    # Machines on equal ROMs share one translation; each machine's
+    # gating policy, ungated or overridden, must stay its own.
     rom = benchmark_rom()
 
     def ungated():
-        return Machine(rom, gating=False)
+        return Machine(rom, policy=GatingPolicy.ungated())
 
     def overridden():
         m = Machine(rom)
@@ -402,8 +402,11 @@ def test_idle_parks_until_interrupt():
 
 
 def test_idle_freezes_the_uart_drain_only_when_gated():
-    for gating, drained in ((True, False), (False, True)):
-        m = machine_for("LOADI R1, 0x41\nUARTS R1\n", gating=gating)
+    # The UART advances exactly when its enable is high: the gated idle
+    # row clocks nothing, the ungated one everything.
+    for policy, drained in ((GatingPolicy(), False),
+                            (GatingPolicy.ungated(), True)):
+        m = machine_for("LOADI R1, 0x41\nUARTS R1\n", policy=policy)
         m.step()
         m.step()
         m.force_idle()
@@ -436,7 +439,7 @@ def test_trace_rows_show_instruction_address():
 
 
 def test_gating_disabled_clocks_everything():
-    m = Machine(gating=False)
+    m = Machine(policy=GatingPolicy.ungated())
     m.run(10)
     assert all(r.enables == ALL_ENABLED for r in m.records)
 
@@ -471,6 +474,14 @@ def test_ram_size_and_width():
     assert m.ram[1023] == 0xFFFF
 
 
+def test_load_store_reach_the_first_256_ram_words():
+    # LOAD/STORE carry an 8-bit address: words 256-1023 are unreachable.
+    m = run_source("LOADI R1, 0x5A\nSTORE R1, 0xFF\nLOAD R2, 0xFF\n"
+                   "done: BI done\n")
+    assert m.ram[255] == 0x5A and m.regs[2] == 0x5A
+    assert not any(m.ram[256:])
+
+
 def test_run_requires_a_cycle_budget():
     with pytest.raises(ValueError):
         Machine().run(0)
@@ -488,17 +499,13 @@ def test_injections_apply_at_their_cycle():
     assert m.regs[2] == 0x77
 
 
-def test_uart_rx_injection_is_readable_by_the_host():
-    m = Machine()
-    m.run(4, injections=[Injection(cycle=2, kind="uart_rx", value=0x99)])
-    assert m.peripherals.uart.rx_pop() == 0x99
-
-
 def test_injection_validation():
     with pytest.raises(ValueError):
         Injection(cycle=-1, kind="port1", value=0)
     with pytest.raises(ValueError):
         Injection(cycle=0, kind="midi", value=0)
+    with pytest.raises(ValueError, match="unknown injection kind 'uart_rx'"):
+        Injection(cycle=0, kind="uart_rx", value=0)
     with pytest.raises(ValueError):
         Injection(cycle=0, kind="port1", value=300)
 

@@ -9,7 +9,6 @@ from mcusim.peripherals import (
     FIFO_DEPTH,
     Peripherals,
     PortState,
-    RxOverflowError,
     SevenSeg,
     TxOverflowError,
     Uart,
@@ -115,19 +114,6 @@ def test_uart_tx_overflow_at_bound():
         uart.send(i)
     with pytest.raises(TxOverflowError):
         uart.send(0)
-
-
-def test_uart_rx_fifo():
-    uart = Uart()
-    assert uart.rx_pop() is None
-    uart.inject_rx(0x10)
-    uart.inject_rx(0x20)
-    assert uart.rx_pop() == 0x10
-    assert uart.rx_pop() == 0x20
-    for i in range(FIFO_DEPTH):
-        uart.inject_rx(i)
-    with pytest.raises(RxOverflowError):
-        uart.inject_rx(0)
 
 
 def test_uart_busy_tracks_pending_bytes():

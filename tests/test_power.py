@@ -1,5 +1,8 @@
 """Activity-based power estimation and calibration."""
 
+import importlib.resources
+import importlib.util
+import pathlib
 import random
 
 import pytest
@@ -179,3 +182,17 @@ def test_config_validation():
         PowerConfig(cap={"alu": 1e-12})  # table incomplete
     with pytest.raises(ValueError):
         flat_config(cap=-1e-12)
+
+
+def test_calibration_script_renders_the_packaged_defaults():
+    # A drift in the reference workload's activity would move the
+    # 273/182 mW anchors' capacitance split; rendering, not writing, the
+    # file keeps the package untouched.
+    path = (pathlib.Path(__file__).resolve().parents[1] / "scripts"
+            / "calibrate_defaults.py")
+    spec = importlib.util.spec_from_file_location("calibrate_defaults", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    packaged = (importlib.resources.files("mcusim")
+                .joinpath("data", "default_power.cfg").read_text())
+    assert script.render() == packaged
