@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import re
 from array import array
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -111,7 +111,7 @@ class RunResult:
 
 @dataclass(frozen=True)
 class Injection:
-    """A host-driven input applied just before the given cycle ticks."""
+    """A port 1 level the host drives from the given cycle on."""
 
     cycle: int
     kind: str  # port1
@@ -164,7 +164,7 @@ _SEMANTICS = {
     Op.BLTE: "pc = r{d} & 0xFF if l or z else {n}",
     Op.PORT0: "v = r{d} & 0xFF; m.peripherals.ports.write_port0(v); "
               "m.io_events.append(IoEvent(cycle - 1, 'port0', 'out', v))",
-    Op.PORT1: "r{d} = m.peripherals.ports.read_port1(); "
+    Op.PORT1: "r{d} = m._read_port1(cycle - 1); "
               "m.io_events.append(IoEvent(cycle - 1, 'port1', 'in', r{d}))",
     Op.B7S: "seg = m.peripherals.sevenseg; seg.show(r{d} & 0xF); "
             "m.io_events.append(IoEvent(cycle - 1, 'sevenseg', 'out', "
@@ -268,19 +268,18 @@ class _Translation:
         self.words = words
         self.table = _predecode(words)
         # The longest block from each pc, and the one-instruction block at
-        # each pc that runs where a longest block would cross a stop.
+        # each pc whose execute half runs after a fetch that ran alone.
         self.blocks: list[tuple | None] = [None] * ROM_WORDS
         self.singles: list[tuple | None] = [None] * ROM_WORDS
 
-    def block(self, pc: int, room: int) -> tuple:
-        """The longest block from `pc`, or the one-instruction block at
-        `pc` when the longest takes more than `room` cycles."""
+    def block(self, pc: int, room: int) -> tuple | None:
+        """The longest block from `pc`, kept once translated, or None
+        while it takes more than `room` cycles."""
         block = _compile_block(self.table, self.words, pc, ROM_WORDS, room)
-        if block is None:
-            return self.singles[pc] or self.single(pc)
-        self.blocks[pc] = block
-        if block[1] <= 2:
-            self.singles[pc] = block
+        if block:
+            self.blocks[pc] = block
+            if block[1] <= 2:
+                self.singles[pc] = block
         return block
 
     def single(self, pc: int) -> tuple:
@@ -310,7 +309,7 @@ class Machine:
     """
 
     def __init__(self, rom: RomImage | None = None, *,
-                 policy: GatingPolicy | None = None, uart_divisor: int = 10):
+                 policy: GatingPolicy | None = None):
         self.rom = rom if rom is not None else RomImage()
         self.policy = policy if policy is not None else GatingPolicy()
         self.regs = [0] * 8
@@ -319,13 +318,13 @@ class Machine:
         self.ram = array("H", [0] * RAM_WORDS)
         self.cycles = 0
         self.peripherals = Peripherals()
-        self.peripherals.uart.baud_divisor = uart_divisor
         self.io_events: list[IoEvent] = []
         self.halted = False
         self.halt_reason: str | None = None
         self._code = _translate(tuple(self.rom))
         self._state = _FETCH
         self._wake = False
+        self._pending: deque[Injection] = deque()  # a run's, by cycle
         self._log = array("H")
         self._classes: dict[int, tuple[int, str, str, frozenset[str]]] = {}
 
@@ -353,11 +352,19 @@ class Machine:
         self._state = _IDLE
 
     def interrupt(self) -> None:
-        """Wake signal; only idle mode observes it."""
-        self._wake = True
+        """Wake signal: idle mode latches it, any other state drops it."""
+        if self._state == _IDLE:
+            self._wake = True
 
     def inject_port1(self, value: int) -> None:
         self.peripherals.ports.inject_port1(value)
+
+    def _read_port1(self, cycle: int) -> int:
+        """Port 1's level in `cycle`, once every scheduled injection due
+        at or before it has applied."""
+        while self._pending and self._pending[0].cycle <= cycle:
+            self.inject_port1(self._pending.popleft().value)
+        return self.peripherals.ports.read_port1()
 
     # -- the cycle-class log ---------------------------------------------
 
@@ -410,10 +417,10 @@ class Machine:
         raises. Returns True when it stopped on such a halt.
 
         From the fetch state a whole block runs in one step when it ends
-        by `stop`; otherwise its first instruction runs alone, or, with
-        one cycle left, only that instruction's fetch. Reset and idle
-        run a cycle at a time. With `halt_on_self_loop`, a machine that
-        has already halted runs one more cycle and stops again.
+        by `stop`. Otherwise the fetch takes a cycle of its own, like
+        each reset and idle cycle, and the instruction's execute half
+        runs next. With `halt_on_self_loop`, a machine that has already
+        halted runs one more cycle and stops again.
         """
         cycle = self.cycles
         if cycle >= stop:
@@ -434,30 +441,23 @@ class Machine:
         span = self._span
         try:
             while cycle < stop:
-                if state == _FETCH:
-                    run, n, plain, busy, loop_pc = (
-                        blocks[pc] or code.block(pc, stop - cycle))
-                    if cycle + n > stop:
-                        run, n, plain, busy, loop_pc = (singles[pc]
-                                                        or code.single(pc))
-                        if cycle + n > stop:
-                            # Fetch now; the execute half runs next time.
-                            span(cycle, plain[:1], busy[:1])
-                            cycle += 1
-                            state = _EXECUTE
-                            continue
+                block = (blocks[pc] or code.block(pc, stop - cycle)
+                         if state == _FETCH else None)
+                if block and cycle + block[1] <= stop:
+                    run, n, plain, busy, loop_pc = block
                     if txq:
                         span(cycle, plain, busy)
                     else:
                         extend(plain)
                 elif state == _EXECUTE:
-                    # The execute half of an instruction split by a stop.
+                    # The execute half of an instruction fetched alone.
                     run, _, plain, busy, loop_pc = (singles[pc]
                                                     or code.single(pc))
                     n = 1
                     span(cycle, plain[1:], busy[1:])
                     state = _FETCH
                 else:
+                    # Reset, idle, or a fetch whose block does not fit.
                     here = pc | state << _STATE_SHIFT
                     if txq:
                         span(cycle, array("H", [here]),
@@ -471,7 +471,7 @@ class Machine:
                             state = _FETCH
                         self._wake = False
                     else:
-                        state += 1  # reset1 -> reset2 -> fetch
+                        state += 1  # reset1 -> reset2 -> fetch -> execute
                     continue
                 cycle += n
                 pc, z, l = run(regs, ram, z, l, cycle, self)
@@ -541,20 +541,21 @@ class Machine:
         """Run until the cycle budget is spent or the program halts.
 
         `max_cycles` is the absolute cycle count to stop at. Each
-        injection applies just before its cycle ticks; one due at or
-        after the budget is never applied.
+        injection sets port 1's level from its cycle on, and a `PORT1`
+        reads the level of its execute cycle. The run ends with every
+        injection due at or before its last cycle applied and drops the
+        rest, so one due at or after the cycle it stops at never applies.
         """
         if max_cycles < 1:
             raise ValueError("max_cycles must be at least 1")
-        pending = sorted(injections or [], key=lambda inj: inj.cycle)
-        i = 0
-        while self.cycles < max_cycles:
-            while i < len(pending) and pending[i].cycle <= self.cycles:
-                self.inject_port1(pending[i].value)
-                i += 1
-            stop = max_cycles
-            if i < len(pending):
-                stop = min(stop, pending[i].cycle)
-            if self._advance(stop, halt_on_self_loop):
-                return RunResult(self.cycles, True, self.halt_reason)
-        return RunResult(self.cycles, False)
+        if self.cycles >= max_cycles:
+            return RunResult(self.cycles, False)
+        self._pending.extend(sorted(injections or [],
+                                    key=lambda inj: inj.cycle))
+        try:
+            halted = self._advance(max_cycles, halt_on_self_loop)
+        finally:
+            self._read_port1(self.cycles - 1)
+            self._pending.clear()
+        return RunResult(self.cycles, halted,
+                         self.halt_reason if halted else None)

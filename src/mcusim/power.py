@@ -65,9 +65,6 @@ class ActivityTrace:
             trace.add(record.enables)
         return trace
 
-    def enabled_cycles(self, module: str) -> int:
-        return self._enabled[module]
-
     def duty(self, module: str) -> float:
         if self.total_cycles == 0:
             raise EmptyTraceError("no cycles recorded")

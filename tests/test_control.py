@@ -98,6 +98,21 @@ def test_idle_holds_until_interrupt():
     assert states_after(m, 2) == [FsmState.IDLE, FsmState.FETCH]
 
 
+def test_interrupt_outside_idle_is_dropped():
+    m = machine_in(FsmState.FETCH, Op.NOP)
+    m.interrupt()
+    m.force_idle()
+    assert states_after(m, 3) == [FsmState.IDLE] * 3
+    # Raised while the core runs, it is gone by the time the host parks.
+    m = Machine()
+    m.interrupt()
+    m.run(10)
+    m.force_idle()
+    assert states_after(m, 3) == [FsmState.IDLE] * 3
+    m.interrupt()
+    assert states_after(m, 2) == [FsmState.IDLE, FsmState.FETCH]
+
+
 def test_transitions_ignore_the_opcode():
     for state in ALL_STATES:
         targets = set()

@@ -8,8 +8,9 @@ numbers, the per-module enabled-cycle counts and the controller state
 of every cycle. The derandomised search keeps tier-1 runs repeatable.
 Hand-written cases then pin the edges of block translation: code that
 wraps from 0xFF to 0x00, a block closed by a branch to itself, each
-conditional branch taken and not taken to itself, and budgets and
-injections that land inside a block.
+conditional branch taken and not taken to itself, budgets and
+injections that land inside a block, and injections that leave the
+translated blocks as they are.
 """
 
 import pytest
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from mcusim.control import GATED_MODULES
 from mcusim.isa import Op, RomImage
-from mcusim.machine import Injection, Machine
+from mcusim.machine import Injection, Machine, _translate
 
 import oracle
 from test_machine import encode_tuple
@@ -170,16 +171,34 @@ def test_conditional_branch_taken_to_itself_halts(mnemonic, taken,
     assert (m.halted, m.halt_reason, m.cycles) == (False, None, 1000)
 
 
+# A nine-instruction block closed by PORT1, then PORT0 and a branch back.
+PORT1_LOOP = [("LOADI", 1, 0, 0x11), ("ADD", 2, 1, 0), ("SHL", 2, 0, 0),
+              ("XOR", 3, 2, 0), ("DEC", 4, 0, 0), ("INC", 5, 0, 0),
+              ("OR", 6, 3, 0), ("SUB", 6, 1, 0), ("PORT1", 7, 0, 0),
+              ("PORT0", 7, 0, 0), ("BI", 0, 0, 1)]
+
+
 def test_budgets_and_injections_inside_a_block():
-    # A nine-instruction block closed by PORT1, then PORT0 and a branch
-    # back. The budgets and the injections, every third cycle, end runs
-    # and segments inside the blocks of the first three passes.
-    program = [("LOADI", 1, 0, 0x11), ("ADD", 2, 1, 0), ("SHL", 2, 0, 0),
-               ("XOR", 3, 2, 0), ("DEC", 4, 0, 0), ("INC", 5, 0, 0),
-               ("OR", 6, 3, 0), ("SUB", 6, 1, 0), ("PORT1", 7, 0, 0),
-               ("PORT0", 7, 0, 0), ("BI", 0, 0, 1)]
+    # The budgets and the injections, every third cycle, land inside the
+    # blocks of the first three passes.
     for budget in range(1, 61):
-        check_against_oracle(program, budget)
+        check_against_oracle(PORT1_LOOP, budget)
     for cycle in range(0, 60, 3):
-        check_against_oracle(program, 70, [(cycle, cycle + 1),
-                                           (cycle + 1, 0xA5)])
+        check_against_oracle(PORT1_LOOP, 70, [(cycle, cycle + 1),
+                                              (cycle + 1, 0xA5)])
+
+
+def test_injections_translate_no_extra_blocks():
+    # PORT1 reads the injected level at its execute cycle, so an
+    # injection neither splits a block nor makes a later fetch translate
+    # one from a pc inside it.
+    rom = RomImage([encode_tuple(*t) for t in PORT1_LOOP])
+
+    def translated(cycles):
+        _translate.cache_clear()
+        m = Machine(rom)
+        m.run(300, injections=[Injection(c, "port1", c & 0xFF)
+                               for c in cycles])
+        return [pc for pc, block in enumerate(m._code.blocks) if block]
+
+    assert translated(range(0, 300, 3)) == translated([]) == [0, 1, 9, 10]

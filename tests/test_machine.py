@@ -497,6 +497,40 @@ def test_injections_apply_at_their_cycle():
     m.run(100, injections=[Injection(cycle=4, kind="port1", value=0x77)])
     assert m.regs[1] == 0
     assert m.regs[2] == 0x77
+    # Of two injections due at one cycle, the later one wins.
+    m = machine_for("PORT1 R1\nNOP\nPORT1 R2\ndone: BI done\n")
+    m.run(100, injections=[Injection(4, "port1", 0x66),
+                           Injection(4, "port1", 0x77)])
+    assert (m.regs[2], m.peripherals.ports.port1_input) == (0x77, 0x77)
+
+
+def test_port1_level_after_a_run():
+    # A run ends with the injections due before the cycle it stops at
+    # applied, the rest dropped. The loop reads port 1 at cycles 1, 5, 9..
+    m = machine_for("loop: PORT1 R1\nBI loop\n")
+    m.run(10, injections=[Injection(9, "port1", 0x22),
+                          Injection(10, "port1", 0x11)])
+    assert (m.regs[1], m.peripherals.ports.port1_input) == (0x22, 0x22)
+    # The dropped one stays dropped in the next run.
+    m.run(14)
+    assert (m.regs[1], m.peripherals.ports.port1_input) == (0x22, 0x22)
+    # One due before a later run starts applies when that run does.
+    m.run(18, injections=[Injection(5, "port1", 0x33)])
+    assert (m.regs[1], m.peripherals.ports.port1_input) == (0x33, 0x33)
+    # A run already at its budget runs no cycle and applies nothing.
+    m.run(18, injections=[Injection(3, "port1", 0x44)])
+    assert (m.cycles, m.peripherals.ports.port1_input) == (18, 0x33)
+    # A self-loop halt at cycle 2 leaves one due at cycle 2 unapplied.
+    m = machine_for("done: BI done\n")
+    assert m.run(100, injections=[Injection(1, "port1", 0x55),
+                                  Injection(2, "port1", 0x44)]).halted
+    assert (m.cycles, m.peripherals.ports.port1_input) == (2, 0x55)
+    # The illegal word's fetch at cycle 4 is the run's last cycle.
+    m = machine_for("PORT1 R1\nNOP\n.word 0xA800\n")
+    with pytest.raises(IllegalOpcodeError):
+        m.run(100, injections=[Injection(4, "port1", 0x66),
+                               Injection(5, "port1", 0x99)])
+    assert (m.cycles, m.peripherals.ports.port1_input) == (5, 0x66)
 
 
 def test_injection_validation():
