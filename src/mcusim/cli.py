@@ -21,7 +21,7 @@ from .asm import AsmError, RomFileError, assemble, disassemble, \
 from .config import ConfigError, SimConfig, default_config, load_config
 from .control import GATED_MODULES, GatingPolicy
 from .isa import IllegalOpcodeError, RomImage
-from .machine import Injection, Machine
+from .machine import IO_KINDS, Injection, Machine
 from .peripherals import TxOverflowError
 from .power import CONTROL_NODE, PowerReport, estimate
 from .reference import BENCHMARK_MAX_CYCLES
@@ -133,30 +133,40 @@ def _parse_injections(path: str) -> list[Injection]:
 
 
 def _write_trace(path: str, machine: Machine) -> None:
-    """One CSV row per cycle. A row is its cycle number followed by the
-    text of its cycle class, which is formatted once per class."""
+    """One CSV row per cycle. The cycles of one log entry, a block run or
+    a lone cycle, are written from a row template made once per distinct
+    entry: the text of each cycle class after a `%d` for its cycle."""
     describe = machine.describe_class
-    suffixes: dict[int, str] = {}
+    templates: dict[int, str] = {}
+    cycle = 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\r\n")
-        for cycle, code in enumerate(machine.cycle_classes):
-            suffix = suffixes.get(code)
-            if suffix is None:
-                pc, state, opcode, enables = describe(code)
-                suffix = suffixes[code] = ",".join(
-                    ["", str(pc), state, opcode]
-                    + ["1" if m in enables else "0" for m in GATED_MODULES]
-                ) + "\r\n"
-            fh.write(f"{cycle}{suffix}")
+        for key, codes in machine.class_spans():
+            template = templates.get(key)
+            if template is None:
+                rows = []
+                for code in codes:
+                    pc, state, opcode, enables = describe(code)
+                    rows.append(",".join(
+                        ["%d", str(pc), state, opcode]
+                        + ["1" if m in enables else "0"
+                           for m in GATED_MODULES]) + "\r\n")
+                template = templates[key] = "".join(rows)
+            n = len(codes)
+            fh.write(template % tuple(range(cycle, cycle + n)))
+            cycle += n
 
 
-def _write_io_log(path: str, events) -> None:
+def _write_io_log(path: str, io_log) -> None:
+    """One CSV row per event of a machine's packed `io_log`."""
+    rows = [f"%d,{device},{direction},0x%02X\r\n"
+            for device, direction in IO_KINDS]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cycle", "device", "direction", "value"])
-        for e in events:
-            writer.writerow([e.cycle, e.device, e.direction,
-                             f"0x{e.value:02X}"])
+        fh.write("cycle,device,direction,value\r\n")
+        for start in range(0, len(io_log), 4096):
+            fh.write("".join([rows[packed >> 8 & 3] % (packed >> 10,
+                                                       packed & 0xFF)
+                              for packed in io_log[start:start + 4096]]))
 
 
 def _write_report(path: str, report: PowerReport, cycles: int,
@@ -245,7 +255,7 @@ def cmd_run(args, parser: _Parser) -> int:
         if args.trace_out:
             _write_trace(args.trace_out, machine)
         if args.io_log:
-            _write_io_log(args.io_log, machine.io_events)
+            _write_io_log(args.io_log, machine.io_log)
         if status == EXIT_OK:
             report = estimate(machine.activity(),
                               config.power_config(args.osc))

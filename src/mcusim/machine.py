@@ -20,12 +20,18 @@ including the first branch or port/display instruction, into one
 function built with `compile` from `_SEMANTICS`, the one source template
 per opcode; the block then runs in one call. A translation depends on
 the ROM words alone, so every machine built on the same ROM shares it.
-Each cycle leaves one 16-bit cycle-class code in a log: the pc, the
-controller state and whether the UART was busy. The opcode is a
-function of the pc and the clock enables a function of (state, opcode,
-busy, policy), so the code carries everything a trace row holds;
-`Machine.describe_class` turns a code back into a row. Gating is only
-the policy: running ungated is `GatingPolicy.ungated()` on this core.
+
+Each cycle has a cycle-class code: the pc, the controller state and
+whether the UART was busy. The opcode is a function of the pc and the
+clock enables a function of (state, opcode, busy, policy), so the code
+carries everything a trace row holds; `Machine.describe_class` turns a
+code back into a row. The log does not keep a code per cycle. A block
+run logs one entry, its start pc and how many of its cycles, from the
+first, began with a UART byte queued; its codes follow from the two.
+Only a cycle run alone (reset, idle, or the fetch or execute half of an
+instruction cut by the budget) logs its code. I/O events are logged as
+packed integers. Gating is only the policy: running ungated is
+`GatingPolicy.ungated()` on this core.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from __future__ import annotations
 import re
 from array import array
 from collections import Counter, deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -52,6 +59,17 @@ _STATES = tuple(FsmState)
 # Cycle-class code: pc | state << 8 | uart_busy << 11.
 _STATE_SHIFT = 8
 _BUSY = 1 << 11
+# A log entry is either the cycle-class code of one cycle run alone, or
+# _BLOCK | held << 8 | pc for one run of the block at pc, of whose cycles
+# the first `held` began with a UART byte queued.
+_BLOCK = 1 << 20
+_HELD_SHIFT = 8
+
+# (device, direction) of each I/O event kind. `Machine.io_log` holds an
+# event packed as cycle << 10 | kind << 8 | value.
+IO_KINDS = (("port0", "out"), ("port1", "in"), ("sevenseg", "out"),
+            ("uart", "out"))
+_UART_OUT = 3 << 8
 
 
 @dataclass
@@ -163,12 +181,11 @@ _SEMANTICS = {
     Op.BLT: "pc = r{d} & 0xFF if l else {n}",
     Op.BLTE: "pc = r{d} & 0xFF if l or z else {n}",
     Op.PORT0: "v = r{d} & 0xFF; m.peripherals.ports.write_port0(v); "
-              "m.io_events.append(IoEvent(cycle - 1, 'port0', 'out', v))",
+              "m._io_log.append((cycle - 1) << 10 | v)",
     Op.PORT1: "r{d} = m._read_port1(cycle - 1); "
-              "m.io_events.append(IoEvent(cycle - 1, 'port1', 'in', r{d}))",
+              "m._io_log.append((cycle - 1) << 10 | 0x100 | r{d})",
     Op.B7S: "seg = m.peripherals.sevenseg; seg.show(r{d} & 0xF); "
-            "m.io_events.append(IoEvent(cycle - 1, 'sevenseg', 'out', "
-            "seg.segments))",
+            "m._io_log.append((cycle - 1) << 10 | 0x200 | seg.segments)",
     Op.UARTS: "m.peripherals.uart.send(r{d} & 0xFF)",
 }
 _REGISTER = re.compile(r"\br([0-7])\b")
@@ -195,8 +212,8 @@ def _predecode(words) -> list[tuple[int, int, int, int] | None]:
 def _compile_block(table, words, start: int, limit: int,
                    room: int) -> tuple | None:
     """Translate at most `limit` instructions from `start` into a block
-    (run, cycles, plain codes, busy codes, self-loop pc), or return None
-    if it would take more than `room` cycles.
+    (run, cycles, codes, self-loop pc), or return None if it would take
+    more than `room` cycles.
 
     `run(regs, ram, z, l, cycle, m)` runs the block on machine `m`, with
     `cycle` the cycle count after it, and returns (pc, z, l). A block
@@ -204,9 +221,9 @@ def _compile_block(table, words, start: int, limit: int,
     illegal word; UARTS is a block of its own, so a full FIFO raises
     before the block has changed anything. An illegal word at `start`
     is a one-cycle block that raises in its fetch. The codes are the
-    block's cycle-class codes without and with the UART-busy bit; the
-    self-loop pc is that of a closing branch, otherwise -1: a branch
-    writes no flags, so one taken to itself repeats forever.
+    block's cycle-class codes without the UART-busy bit; the self-loop
+    pc is that of a closing branch, otherwise -1: a branch writes no
+    flags, so one taken to itself repeats forever.
     """
     body: list[str] = []
     codes: list[int] = []
@@ -252,12 +269,11 @@ def _compile_block(table, words, start: int, limit: int,
     lines = ([f"r{k} = regs[{k}]" for k in sorted(loads)] + body
              + [f"regs[{k}] = r{k}" for k in sorted(stores)]
              + ["return pc, z, l"])
-    namespace = {"IoEvent": IoEvent, "IllegalOpcodeError": IllegalOpcodeError}
+    namespace = {"IllegalOpcodeError": IllegalOpcodeError}
     exec(compile("def run(regs, ram, z, l, cycle, m):\n"
                  + "".join(f"    {line}\n" for line in lines),
                  f"<ROM block at {start:#04x}>", "exec"), namespace)
-    return (namespace["run"], len(codes), array("H", codes),
-            array("H", [code | _BUSY for code in codes]), loop_pc)
+    return namespace["run"], len(codes), tuple(codes), loop_pc
 
 
 class _Translation:
@@ -301,11 +317,12 @@ class Machine:
     as Python blocks translated the first time it reaches them, once
     per ROM content and process, so machines on equal ROMs share them.
     The gating policy is not part of the translation; without gating,
-    pass `GatingPolicy.ungated()`. Every cycle costs
-    about 2 bytes of memory, one code in the cycle-class log. `records`
-    builds the per-cycle trace rows from that log on every access, at
-    O(cycles) cost; `activity()` folds the log into per-module
-    enabled-cycle counts without building them.
+    pass `GatingPolicy.ungated()`. Memory grows by 4 bytes per block run
+    or lone cycle in the log and 8 bytes per I/O event, about 1.2 bytes
+    per cycle on the benchmark's loop. `records`, `cycle_classes` and
+    `io_events` expand those logs on every access, at O(cycles) cost;
+    `activity()` folds the log into per-module enabled-cycle counts once
+    per distinct entry, without expanding it.
     """
 
     def __init__(self, rom: RomImage | None = None, *,
@@ -318,14 +335,15 @@ class Machine:
         self.ram = array("H", [0] * RAM_WORDS)
         self.cycles = 0
         self.peripherals = Peripherals()
-        self.io_events: list[IoEvent] = []
+        self._io_log = array("q")
         self.halted = False
         self.halt_reason: str | None = None
         self._code = _translate(tuple(self.rom))
         self._state = _FETCH
         self._wake = False
         self._pending: deque[Injection] = deque()  # a run's, by cycle
-        self._log = array("H")
+        self._log = array("I")  # one entry per block run or lone cycle
+        self._entry_codes: dict[int, tuple[int, ...]] = {}
         self._classes: dict[int, tuple[int, str, str, frozenset[str]]] = {}
 
     @property
@@ -366,13 +384,55 @@ class Machine:
             self.inject_port1(self._pending.popleft().value)
         return self.peripherals.ports.read_port1()
 
-    # -- the cycle-class log ---------------------------------------------
+    # -- the logs --------------------------------------------------------
+
+    @property
+    def io_log(self) -> array:
+        """Every I/O event so far, in order, each packed as
+        `cycle << 10 | kind << 8 | value` with `IO_KINDS[kind]` its
+        (device, direction). Do not modify it."""
+        return self._io_log
+
+    @property
+    def io_events(self) -> list[IoEvent]:
+        """Every I/O event so far, built anew on each access."""
+        return list(self._events_since(0))
+
+    def _events_since(self, start: int) -> tuple[IoEvent, ...]:
+        """The I/O events from the `start`-th on."""
+        return tuple(IoEvent(packed >> 10, *IO_KINDS[packed >> 8 & 3],
+                             packed & 0xFF)
+                     for packed in self._io_log[start:])
+
+    def class_spans(self) -> Iterator[tuple[int, tuple[int, ...]]]:
+        """(key, codes) for each entry of the cycle-class log, in cycle
+        order: the opaque cycle-class codes of the consecutive cycles one
+        block run or one lone cycle took; read them through
+        `describe_class`. Entries with equal keys have equal codes."""
+        codes = self._codes
+        for entry in self._log:
+            yield entry, codes(entry)
+
+    def _codes(self, entry: int) -> tuple[int, ...]:
+        """The cycle-class codes of a log entry, memoised per entry."""
+        codes = self._entry_codes.get(entry)
+        if codes is None:
+            if entry < _BLOCK:
+                codes = (entry,)
+            else:
+                plain = self._code.blocks[entry & PC_MASK][2]
+                held = (entry - _BLOCK) >> _HELD_SHIFT
+                codes = (tuple([code | _BUSY for code in plain[:held]])
+                         + plain[held:])
+            self._entry_codes[entry] = codes
+        return codes
 
     @property
     def cycle_classes(self) -> array:
-        """One opaque cycle-class code per cycle run; read it through
-        `describe_class`. Do not modify it."""
-        return self._log
+        """One opaque cycle-class code per cycle run, built anew on each
+        access; read it through `describe_class`."""
+        return array("H", [code for _, codes in self.class_spans()
+                           for code in codes])
 
     def describe_class(self, code: int) -> tuple[int, str, str,
                                                  frozenset[str]]:
@@ -400,12 +460,16 @@ class Machine:
         """Every cycle's trace row, built anew on each access."""
         describe = self.describe_class
         return [CycleRecord(cycle, *describe(code))
-                for cycle, code in enumerate(self._log)]
+                for cycle, code in enumerate(self.cycle_classes)]
 
     def activity(self) -> ActivityTrace:
         """Per-module enabled-cycle counts over every cycle run."""
+        histogram: Counter[int] = Counter()
+        for entry, count in Counter(self._log).items():
+            for code in self._codes(entry):
+                histogram[code] += count
         trace = ActivityTrace()
-        for code, count in Counter(self._log).items():
+        for code, count in histogram.items():
             trace.add(self.describe_class(code)[3], count)
         return trace
 
@@ -417,10 +481,11 @@ class Machine:
         raises. Returns True when it stopped on such a halt.
 
         From the fetch state a whole block runs in one step when it ends
-        by `stop`. Otherwise the fetch takes a cycle of its own, like
-        each reset and idle cycle, and the instruction's execute half
-        runs next. With `halt_on_self_loop`, a machine that has already
-        halted runs one more cycle and stops again.
+        by `stop`, and logs one entry. Otherwise the fetch takes a cycle
+        of its own, like each reset and idle cycle, and the instruction's
+        execute half runs next; each of these cycles logs its code. With
+        `halt_on_self_loop`, a machine that has already halted runs one
+        more cycle and stops again.
         """
         cycle = self.cycles
         if cycle >= stop:
@@ -436,44 +501,37 @@ class Machine:
         pc = self.pc
         state = self._state
         emit = self._log.append
-        extend = self._log.extend
         txq = self.peripherals.uart.tx_queue
-        span = self._span
+        drain = self._drain
         try:
             while cycle < stop:
                 block = (blocks[pc] or code.block(pc, stop - cycle)
                          if state == _FETCH else None)
                 if block and cycle + block[1] <= stop:
-                    run, n, plain, busy, loop_pc = block
-                    if txq:
-                        span(cycle, plain, busy)
-                    else:
-                        extend(plain)
-                elif state == _EXECUTE:
-                    # The execute half of an instruction fetched alone.
-                    run, _, plain, busy, loop_pc = (singles[pc]
-                                                    or code.single(pc))
-                    n = 1
-                    span(cycle, plain[1:], busy[1:])
-                    state = _FETCH
+                    run, n, _, loop_pc = block
+                    emit(_BLOCK | drain(cycle, n) << _HELD_SHIFT | pc
+                         if txq else _BLOCK | pc)
+                    cycle += n
                 else:
-                    # Reset, idle, or a fetch whose block does not fit.
+                    # Reset, idle, a fetch whose block does not fit, or the
+                    # execute half of an instruction fetched alone.
                     here = pc | state << _STATE_SHIFT
                     if txq:
-                        span(cycle, array("H", [here]),
-                             array("H", [here | _BUSY]),
-                             "uart" in self.describe_class(here | _BUSY)[3])
-                    else:
-                        emit(here)
+                        here |= _BUSY
+                        if "uart" in self.describe_class(here)[3]:
+                            drain(cycle, 1)
+                    emit(here)
                     cycle += 1
                     if state == _IDLE:
                         if self._wake:
                             state = _FETCH
                         self._wake = False
-                    else:
+                        continue
+                    if state != _EXECUTE:
                         state += 1  # reset1 -> reset2 -> fetch -> execute
-                    continue
-                cycle += n
+                        continue
+                    run, _, _, loop_pc = singles[pc] or code.single(pc)
+                    state = _FETCH
                 pc, z, l = run(regs, ram, z, l, cycle, self)
                 if pc == loop_pc:
                     # A branch taken to itself: the spin-forever idiom.
@@ -491,50 +549,40 @@ class Machine:
             flags.z, flags.l = z, l
         return halt_on_self_loop and self.halted
 
-    def _span(self, cycle: int, plain: array, busy: array,
-              clocked: bool = True) -> None:
-        """Log the cycle-class codes of consecutive cycles from `cycle`
-        on, given without (`plain`) and with (`busy`) the UART-busy bit,
-        and advance the UART over them when `clocked`, that is when the
-        busy codes enable it."""
-        uart = self.peripherals.uart
-        held = len(plain) if uart.tx_queue else 0
-        if held and clocked:
-            held, sent = uart.tick(held)
-            for offset, byte in sent:
-                self.io_events.append(IoEvent(cycle + offset, "uart", "out",
-                                              byte))
-        if held == len(plain):
-            self._log.extend(busy)
-        else:
-            self._log.extend(busy[:held])
-            self._log.extend(plain[held:])
+    def _drain(self, cycle: int, n: int) -> int:
+        """Clock the UART over `n` consecutive cycles from `cycle` on and
+        log each byte that leaves. Returns how many of those cycles, from
+        the first, began with a byte queued."""
+        held, sent = self.peripherals.uart.tick(n)
+        for offset, byte in sent:
+            self._io_log.append((cycle + offset) << 10 | _UART_OUT | byte)
+        return held
 
     # -- stepping ------------------------------------------------------
 
     def tick(self) -> CycleRecord:
         """Advance exactly one clock cycle."""
         self._advance(self.cycles + 1, False)
-        cycle = self.cycles - 1
-        return CycleRecord(cycle, *self.describe_class(self._log[cycle]))
+        code = self._codes(self._log[-1])[-1]
+        return CycleRecord(self.cycles - 1, *self.describe_class(code))
 
     def step(self) -> StepOutcome:
         """Advance one instruction (first draining any reset cycles), or
         one cycle when parked in idle."""
         while self._state in (_RESET1, _RESET2):
             self.tick()
-        events_before = len(self.io_events)
+        events_before = len(self._io_log)
         pc_before = self.pc
         if self._state == _IDLE:
             row = self.tick()
             return StepOutcome(None, pc_before, self.pc, row.enables,
-                               tuple(self.io_events[events_before:]))
+                               self._events_since(events_before))
         self.tick()                  # fetch
         row = self.tick()            # execute
         op, rd, rs, imm = self._code.table[pc_before]
         return StepOutcome(Instruction(Op(op), rd, rs, imm), pc_before,
                            self.pc, row.enables,
-                           tuple(self.io_events[events_before:]))
+                           self._events_since(events_before))
 
     def run(self, max_cycles: int, *, halt_on_self_loop: bool = True,
             injections: "list[Injection] | None" = None) -> RunResult:

@@ -98,10 +98,6 @@ class PowerConfig:
             if c < 0:
                 raise ValueError(f"negative capacitance for {node}")
 
-    def replace_frequency(self, f_hz: float) -> "PowerConfig":
-        return PowerConfig(vdd=self.vdd, vswing=self.vswing, f_hz=f_hz,
-                           cap=dict(self.cap))
-
 
 @dataclass
 class PowerReport:

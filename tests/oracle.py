@@ -6,9 +6,11 @@ opcode's effect, every clock enable and the cycle accounting are
 written out longhand from the specification.
 
 `run_program` runs a branch-free list top to bottom exactly once.
-`run_machine` runs a program with branches cycle by cycle: two cycles
+`RefMachine` runs a program with branches cycle by cycle: two cycles
 per instruction, self-loop halts, the UART draining one byte per ten
-clocked cycles, port 1 injections and per-module enabled-cycle counts.
+clocked cycles, port 1 injections, per-module enabled-cycle counts,
+gated or with every module clocked, and the host's reset, force-idle
+and interrupt lines between runs.
 """
 
 from collections import Counter
@@ -38,7 +40,8 @@ class RefState:
         self.port0 = 0
         self.port1_input = port1_input
         self.sevenseg_digit = 0
-        self.uart_sent = []     # every byte ever queued, in order
+        self.uart_sent = []     # every byte queued, in order, but those
+                                # a reset dropped
 
 
 def execute(s, mnemonic, rd, rs, imm):
@@ -157,74 +160,139 @@ def execute_enables(mnemonic):
     return {"regfile"}  # MOVE, LOADI, ZERO and the register branches
 
 
-def run_machine(program, budget, injections=(), reset=False,
-                halt_on_self_loop=True):
-    """Run `program`, placed from address 0 in an otherwise all-NOP ROM,
-    for at most `budget` cycles, the way the simulator clocks it.
+ALL_MODULES = {"regfile", "alu", "ram", "rom", "port0", "port1", "uart",
+               "sevenseg"}
 
-    `injections` are (cycle, value) port 1 levels, each applied before
-    its cycle; of two at the same cycle the later one wins. With
-    `reset`, two reset cycles come first. Returns the final RefState
-    with extra fields: cycles, halted, states (one name per cycle),
-    events ((cycle, device, direction, value) in order), enabled
-    (module -> enabled cycles) and emitted (UART bytes sent out).
+
+class RefMachine(RefState):
+    """`program`, placed from address 0 in an otherwise all-NOP ROM, run
+    the way the simulator clocks it, under the default gating policy or,
+    with `gated=False`, with every module clocked in every cycle.
+
+    Beyond RefState it keeps: cycles, halted, state (the controller
+    state of the next cycle), states (one name per cycle run), events
+    ((cycle, device, direction, value) in order), enabled (module ->
+    enabled cycles) and emitted (how many of `uart_sent` have left).
     """
-    s = RefState()
-    rom = dict(enumerate(program))
-    s.cycles = 0
-    s.halted = False
-    s.states = []
-    s.events = []
-    s.enabled = Counter()
-    s.emitted = 0
-    uart_clocked = 0
 
-    def clock(state, modules):
-        # Queued bytes hold the UART clock on; each clocked cycle moves
-        # the head byte one cycle closer to leaving.
-        nonlocal uart_clocked
-        busy = s.emitted < len(s.uart_sent)
-        s.states.append(state)
-        s.enabled.update(modules | ({"uart"} if busy else set()))
-        if busy:
-            uart_clocked += 1
-            if uart_clocked == UART_CYCLES_PER_BYTE:
-                s.events.append((s.cycles, "uart", "out",
-                                 s.uart_sent[s.emitted]))
-                s.emitted += 1
-                uart_clocked = 0
-        s.cycles += 1
+    def __init__(self, program, gated=True):
+        super().__init__()
+        self.rom = dict(enumerate(program))
+        self.gated = gated
+        self.cycles = 0
+        self.halted = False
+        self.state = "fetch"
+        self.wake = False
+        self.states = []
+        self.events = []
+        self.enabled = Counter()
+        self.emitted = 0
+        self.uart_clocked = 0   # clocked cycles the head byte has had
 
-    def port1_level(cycle):
-        level, since = 0, -1
-        for at, value in injections:
-            if at <= cycle and at >= since:
-                level, since = value, at
-        return level
+    # -- host lines, between runs
 
-    if reset:
-        for state in ("reset1", "reset2"):
-            if s.cycles < budget:
-                clock(state, set())
-    while s.cycles < budget:
-        mnemonic, rd, rs, imm = rom.get(s.pc, ("NOP", 0, 0, 0))
-        clock("fetch", {"rom"})
-        if s.cycles == budget:
-            break  # the budget ends between fetch and execute
-        now = s.cycles
-        s.port1_input = port1_level(now)
-        clock("execute", execute_enables(mnemonic))
-        here = s.pc
+    def reset(self):
+        """Clear the architectural state but RAM and the port 1 level;
+        drop the bytes still queued; two reset cycles come next."""
+        self.regs = [0] * 8
+        self.z = self.l = False
+        self.pc = 0
+        self.port0 = 0
+        self.sevenseg_digit = 0
+        del self.uart_sent[self.emitted:]
+        self.uart_clocked = 0
+        self.state = "reset1"
+        self.halted = False
+        self.wake = False
+
+    def force_idle(self):
+        self.state = "idle"
+
+    def interrupt(self):
+        """Wakes an idle machine after its next idle cycle; ignored in
+        any other state."""
+        if self.state == "idle":
+            self.wake = True
+
+    # -- clocking
+
+    def clock(self, modules):
+        """One cycle in `self.state` that clocks `modules` under the
+        default policy. Queued bytes hold the UART clock on, except in
+        idle; each cycle that clocks the UART moves the head byte one
+        cycle closer to leaving."""
+        busy = self.emitted < len(self.uart_sent)
+        if not self.gated:
+            modules = ALL_MODULES
+        elif busy and self.state != "idle":
+            modules = modules | {"uart"}
+        self.states.append(self.state)
+        self.enabled.update(modules)
+        if busy and "uart" in modules:
+            self.uart_clocked += 1
+            if self.uart_clocked == UART_CYCLES_PER_BYTE:
+                self.events.append((self.cycles, "uart", "out",
+                                    self.uart_sent[self.emitted]))
+                self.emitted += 1
+                self.uart_clocked = 0
+        self.cycles += 1
+
+    def run(self, stop, injections=(), halt_on_self_loop=True):
+        """Run until `cycles` reaches `stop` or, with
+        `halt_on_self_loop`, a branch to itself retires; a machine that
+        has halted runs one cycle more. `injections` are (cycle, value)
+        port 1 levels; PORT1 reads the level of its execute cycle, and
+        of two at the same cycle the later wins. The run ends with each
+        injection due before its last cycle applied and drops the rest.
+        """
+        if self.cycles >= stop:
+            return
+        pending = sorted(injections, key=lambda inj: inj[0])
+
+        def apply_due(cycle):
+            while pending and pending[0][0] <= cycle:
+                self.port1_input = pending.pop(0)[1]
+
+        if self.halted and halt_on_self_loop:
+            stop = self.cycles + 1
+        while self.cycles < stop:
+            if self.state == "reset1":
+                self.clock(set())
+                self.state = "reset2"
+            elif self.state == "reset2":
+                self.clock(set())
+                self.state = "fetch"
+            elif self.state == "idle":
+                self.clock(set())
+                if self.wake:
+                    self.state = "fetch"
+                self.wake = False
+            elif self.state == "fetch":
+                self.clock({"rom"})
+                self.state = "execute"
+            elif self.execute_cycle(apply_due) and halt_on_self_loop:
+                break
+        apply_due(self.cycles - 1)
+
+    def execute_cycle(self, apply_due):
+        """The execute cycle of the instruction at pc. Returns True when
+        it is a branch taken to itself."""
+        mnemonic, rd, rs, imm = self.rom.get(self.pc, ("NOP", 0, 0, 0))
+        now = self.cycles
+        apply_due(now)
+        self.clock(execute_enables(mnemonic))
+        self.state = "fetch"
+        here = self.pc
         if mnemonic in BRANCHES:
-            target = branch_target(s, mnemonic, rd, imm)
-            s.pc = (here + 1) & 0xFF if target is None else target
+            target = branch_target(self, mnemonic, rd, imm)
+            self.pc = (here + 1) & 0xFF if target is None else target
             if target == here:  # branches write no flags: a fixed point
-                s.halted = True
-                if halt_on_self_loop:
-                    break
-        else:
-            event = execute(s, mnemonic, rd, rs, imm)
-            if event is not None:
-                s.events.append((now,) + event)
-            s.pc = (here + 1) & 0xFF
-    return s
+                self.halted = True
+                return True
+            return False
+        event = execute(self, mnemonic, rd, rs, imm)
+        if event is not None:
+            self.events.append((now,) + event)
+        self.pc = (here + 1) & 0xFF
+        return False
+

@@ -1,25 +1,34 @@
 """The core against the independent oracle, on random branchy programs.
 
 Hypothesis draws a program that mixes every opcode, including the
-branches, random port 1 injections and a cycle budget that may end
-between a fetch and its execute. The simulator and `oracle.run_machine`
-must agree on the architectural state, the I/O log with its cycle
-numbers, the per-module enabled-cycle counts and the controller state
-of every cycle. The derandomised search keeps tier-1 runs repeatable.
+branches, random port 1 injections, a cycle budget that may end
+between a fetch and its execute, host reset, force-idle and interrupt
+calls between runs, and the gating policy. The simulator and
+`oracle.RefMachine` must agree on the architectural state, the I/O log
+with its cycle numbers, the per-module enabled-cycle counts and the
+controller state of every cycle. The same run cut into several `run`
+calls must write the same trace and I/O log and fold to the same
+activity. The derandomised search keeps tier-1 runs repeatable.
 Hand-written cases then pin the edges of block translation: code that
 wraps from 0xFF to 0x00, a block closed by a branch to itself, each
 conditional branch taken and not taken to itself, budgets and
-injections that land inside a block, and injections that leave the
-translated blocks as they are.
+injections that land inside a block, injections that leave the
+translated blocks as they are, and a UART byte draining across idle
+and reset or ending inside a block.
 """
+
+import os
+import tempfile
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mcusim.control import GATED_MODULES
+from mcusim import cli
+from mcusim.control import GATED_MODULES, GatingPolicy
 from mcusim.isa import Op, RomImage
 from mcusim.machine import Injection, Machine, _translate
+from mcusim.power import ActivityTrace
 
 import oracle
 from test_machine import encode_tuple
@@ -28,13 +37,17 @@ MNEMONICS = [op.name for op in Op]
 IO = ["PORT0", "PORT1", "B7S", "UARTS"]
 # Stays below 256 UART sends, so the transmit FIFO cannot overflow.
 MAX_BUDGET = 400
+HOST_LINES = ("force_idle", "interrupt", "reset")
 
 
 @st.composite
 def cases(draw):
-    """(program, budget, injections), drawn from one seeded Random so
-    that every opcode, budget and injection cycle can come up. I/O
-    opcodes are drawn more often, to keep the UART and port 1 busy."""
+    """(program, budget, injections, host, gated, cuts), drawn from one
+    seeded Random so that every opcode, budget and injection cycle can
+    come up. I/O opcodes are drawn more often, to keep the UART and
+    port 1 busy. `host` lists (cycle, line) host calls made between
+    runs and `cuts` the cycles a split run stops at; they and the policy
+    are drawn last, so the draws before them are what they were."""
     rng = draw(st.randoms(use_true_random=False))
     length = rng.randint(1, 24)
     program = []
@@ -49,7 +62,19 @@ def cases(draw):
     budget = rng.randint(1, MAX_BUDGET)
     injections = [(rng.randrange(budget + 1), rng.randrange(256))
                   for _ in range(rng.randint(0, 4))]
-    return program, budget, injections
+    host, cuts = [], []
+    if budget > 1:
+        for _ in range(rng.choice((0, 0, 1, 2, 3))):
+            at = rng.randrange(1, budget)
+            host.append((at, rng.choice(HOST_LINES)))
+            if host[-1][1] == "force_idle" and rng.random() < 0.75:
+                host.append((min(at + rng.randrange(8), budget - 1),
+                             "interrupt"))
+        host.sort()
+        cuts = sorted(rng.sample(range(1, budget),
+                                 min(budget - 1, rng.randint(1, 6))))
+    gated = rng.random() < 0.5
+    return program, budget, injections, host, gated, cuts
 
 
 def arch_state(m):
@@ -57,18 +82,45 @@ def arch_state(m):
             m.cycles, m.halted, list(m.io_events), list(m.records))
 
 
-def check_against_oracle(program, budget, injections=(), reset=False,
-                         halt=True):
-    """Run `program` on the simulator, in one `run` and tick by tick,
-    and compare both with the oracle. Returns the machine."""
-    expected = oracle.run_machine(program, budget, injections, reset=reset,
-                                  halt_on_self_loop=halt)
+def drive(m, budget, injections=(), host=(), halt=True):
+    """Run `m`, the simulator or the oracle, to `budget`, stopping at
+    each (cycle, line) of `host` to call that host line, if not None.
+    Each run gets the (cycle, value) injections due from its planned
+    start on. Returns the last run's result, the (cycle, line) calls as
+    made, and the injections that took effect."""
+    wrap = isinstance(m, Machine)
+    result, made, applied = None, [], []
+    start = 0
+    for stop, line in [*host, (budget, None)]:
+        due = [inj for inj in injections if inj[0] >= start]
+        result = m.run(stop, halt_on_self_loop=halt, injections=[
+            Injection(cycle, "port1", value) for cycle, value in due]
+            if wrap else due)
+        applied += [inj for inj in due if inj[0] < m.cycles]
+        if line is not None:
+            made.append((m.cycles, line))
+            getattr(m, line)()
+        start = stop
+    return result, made, applied
 
-    m = Machine(RomImage([encode_tuple(*t) for t in program]))
+
+def machine_for(program, gated=True):
+    return Machine(RomImage([encode_tuple(*t) for t in program]),
+                   policy=GatingPolicy() if gated else GatingPolicy.ungated())
+
+
+def check_against_oracle(program, budget, injections=(), reset=False,
+                         halt=True, host=(), gated=True):
+    """Run `program` on the simulator, in `run` calls stopping at each
+    host call and tick by tick, and compare both with the oracle.
+    Returns the machine."""
+    expected = oracle.RefMachine(program, gated)
+    m = machine_for(program, gated)
     if reset:
+        expected.reset()
         m.reset()
-    result = m.run(budget, halt_on_self_loop=halt, injections=[
-        Injection(cycle, "port1", value) for cycle, value in injections])
+    drive(expected, budget, injections, host, halt)
+    result, made, applied = drive(m, budget, injections, host, halt)
 
     assert m.regs == expected.regs
     assert (m.flags.z, m.flags.l) == (expected.z, expected.l)
@@ -81,6 +133,7 @@ def check_against_oracle(program, budget, injections=(), reset=False,
     assert m.peripherals.sevenseg.last_digit == expected.sevenseg_digit
     assert (list(m.peripherals.uart.tx_queue)
             == expected.uart_sent[expected.emitted:])
+    assert m.peripherals.ports.port1_input == expected.port1_input
     assert [(e.cycle, e.device, e.direction, e.value)
             for e in m.io_events] == expected.events
 
@@ -89,15 +142,21 @@ def check_against_oracle(program, budget, injections=(), reset=False,
     assert activity.duties() == {
         module: expected.enabled[module] / expected.cycles
         for module in GATED_MODULES}
+    from_records = ActivityTrace.from_records(m.records)
+    assert (from_records.total_cycles, from_records.duties()) == (
+        activity.total_cycles, activity.duties())
 
     assert [r.fsm_state for r in m.records] == expected.states
 
     # tick() drives the same core one cycle at a time.
-    ticked = Machine(m.rom)
+    ticked = Machine(m.rom, policy=m.policy)
     if reset:
         ticked.reset()
-    levels = sorted(injections, key=lambda inj: inj[0])
-    while ticked.cycles < budget and not (halt and ticked.halted):
+    levels = sorted(applied, key=lambda inj: inj[0])
+    while ticked.cycles < m.cycles:
+        for cycle, line in made:
+            if cycle == ticked.cycles:
+                getattr(ticked, line)()
         for cycle, value in levels:
             if cycle == ticked.cycles:
                 ticked.inject_port1(value)
@@ -106,11 +165,57 @@ def check_against_oracle(program, budget, injections=(), reset=False,
     return m
 
 
+def outputs(m):
+    """The trace CSV and I/O log bytes `mcusim run` writes for `m`, and
+    its activity."""
+    with tempfile.TemporaryDirectory() as tmp:
+        trace, io_log = (os.path.join(tmp, name)
+                         for name in ("trace.csv", "io.csv"))
+        cli._write_trace(trace, m)
+        cli._write_io_log(io_log, m.io_log)
+        with open(trace, "rb") as fh, open(io_log, "rb") as gh:
+            written = fh.read(), gh.read()
+    activity = m.activity()
+    return written, activity.total_cycles, activity.duties()
+
+
+def rows_written(m):
+    """The trace CSV and I/O log bytes, written row by row from
+    `records` and `io_events`."""
+    trace = [",".join(cli.TRACE_COLUMNS)] + [
+        ",".join([str(r.cycle), str(r.pc), r.fsm_state, r.opcode]
+                 + ["1" if module in r.enables else "0"
+                    for module in GATED_MODULES])
+        for r in m.records]
+    io_log = ["cycle,device,direction,value"] + [
+        f"{e.cycle},{e.device},{e.direction},0x{e.value:02X}"
+        for e in m.io_events]
+    return tuple("".join(row + "\r\n" for row in rows).encode()
+                 for rows in (trace, io_log))
+
+
+def check_split_run(program, budget, injections, cuts, gated=True):
+    """One run to `budget` and the same run stopped at each cycle of
+    `cuts`, where blocks that do not fit run a cycle at a time, must
+    give the same outputs, and those of the one run must be its rows."""
+    whole, split = machine_for(program, gated), machine_for(program, gated)
+    drive(whole, budget, injections, halt=False)
+    drive(split, budget, injections, [(cut, None) for cut in cuts],
+          halt=False)
+    assert split.cycles == whole.cycles == budget
+    written = outputs(whole)
+    assert outputs(split) == written
+    assert written[0] == rows_written(whole)
+
+
 @settings(derandomize=True, max_examples=120, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(case=cases(), reset=st.booleans(), halt=st.booleans())
 def test_core_matches_the_oracle(case, reset, halt):
-    check_against_oracle(*case, reset=reset, halt=halt)
+    program, budget, injections, host, gated, cuts = case
+    check_against_oracle(program, budget, injections, reset=reset,
+                         halt=halt, host=host, gated=gated)
+    check_split_run(program, budget, injections, cuts, gated)
 
 
 def nops_except(placed):
@@ -202,3 +307,45 @@ def test_injections_translate_no_extra_blocks():
         return [pc for pc, block in enumerate(m._code.blocks) if block]
 
     assert translated(range(0, 300, 3)) == translated([]) == [0, 1, 9, 10]
+
+
+# Two bytes for the UART, then a 13-instruction block looping on itself.
+UART_LOOP = ([("LOADI", 1, 0, 0x41), ("UARTS", 1, 0, 0), ("UARTS", 1, 0, 0)]
+             + [("INC", 2, 0, 0)] * 12 + [("BI", 0, 0, 3)])
+
+
+@pytest.mark.parametrize("gated", [True, False])
+def test_uart_drain_across_idle_interrupt_and_reset(gated):
+    # A queued byte leaves after ten clocked cycles: the first, queued at
+    # cycle 3, leaves in cycle 13, or in 17 when gated, since the gated
+    # idle cycles 6-9 freeze the drain. The resets at cycles 20 and 37
+    # each drop the bytes still queued. After the first, the program
+    # queues two bytes again, at cycles 25 and 27; only ungated does the
+    # first of them leave before the second reset, as the second idle
+    # spell, cycles 31-34, freezes the gated drain. That spell starts
+    # between the fetch at pc 4 and its execute, so the core fetches
+    # pc 4 again on waking.
+    host = [(6, "force_idle"), (9, "interrupt"), (20, "reset"),
+            (31, "force_idle"), (34, "interrupt"), (37, "reset")]
+    m = check_against_oracle(UART_LOOP, 120, host=host, gated=gated,
+                             halt=False)
+    sent = [e.cycle for e in m.io_events if e.device == "uart"]
+    assert sent == ([17, 52, 62] if gated else [13, 35, 52, 62])
+    rows = m.records
+    assert [r.fsm_state for r in rows[6:11]] == ["idle"] * 4 + ["fetch"]
+    assert [r.fsm_state for r in rows[20:23]] == ["reset1", "reset2",
+                                                  "fetch"]
+    assert [(r.fsm_state, r.pc) for r in rows[30:37]] == (
+        [("fetch", 4)] + [("idle", 4)] * 4 + [("fetch", 4), ("execute", 4)])
+    check_split_run(UART_LOOP, 120, (), [5, 7, 17, 21, 33], gated)
+
+
+@pytest.mark.parametrize("gated", [True, False])
+def test_uart_drain_ending_inside_a_block(gated):
+    # The second byte, queued at cycle 5, leaves in cycle 23, so the
+    # busy prefix of the 26-cycle block run from cycle 6 ends after 18
+    # of its cycles.
+    m = check_against_oracle(UART_LOOP, 200, gated=gated, halt=False)
+    busy = [r.cycle for r in m.records if "uart" in r.enables]
+    assert busy == (list(range(3, 24)) if gated else list(range(200)))
+    check_split_run(UART_LOOP, 200, (), [7, 12, 24, 25, 31], gated)

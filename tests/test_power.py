@@ -94,7 +94,10 @@ def test_estimate_is_linear_in_frequency():
     trace = mixed_trace()
     config = flat_config()
     base = estimate(trace, config)
-    doubled = estimate(trace, config.replace_frequency(config.f_hz * 2))
+    doubled = estimate(trace, PowerConfig(vdd=config.vdd,
+                                          vswing=config.vswing,
+                                          f_hz=config.f_hz * 2,
+                                          cap=dict(config.cap)))
     for node in base.per_module_mw:
         assert doubled.per_module_mw[node] == 2 * base.per_module_mw[node]
     assert doubled.total_ungated_mw == 2 * base.total_ungated_mw
@@ -160,8 +163,9 @@ def test_power_per_mhz_matches_targets_over_frequency():
 def test_power_per_mhz_is_frequency_independent():
     config = calibrate(mixed_trace())
     for f in (44e6, 75e6, 134e6):
-        assert power_per_mhz(config.replace_frequency(f)) == power_per_mhz(
-            config)
+        moved = PowerConfig(vdd=config.vdd, vswing=config.vswing, f_hz=f,
+                            cap=dict(config.cap))
+        assert power_per_mhz(moved) == power_per_mhz(config)
 
 
 def test_power_per_mhz_product_invariance():
