@@ -33,6 +33,9 @@ EXIT_OVERFLOW = 3
 EXIT_USAGE = 64
 
 TRACE_COLUMNS = ("cycle", "pc", "fsm_state", "opcode") + GATED_MODULES
+# I/O log rows formatted per write: their strings are about 80 bytes
+# each, so a chunk holds about 40 KB at once.
+_IO_CHUNK = 512
 
 
 class _Parser(argparse.ArgumentParser):
@@ -134,16 +137,16 @@ def _parse_injections(path: str) -> list[Injection]:
 
 def _write_trace(path: str, machine: Machine) -> None:
     """One CSV row per cycle. The cycles of one log entry, a block run or
-    a lone cycle, are written from a row template made once per distinct
+    a lone cycle, are written from row templates made once per distinct
     entry: the text of each cycle class after a `%d` for its cycle."""
     describe = machine.describe_class
-    templates: dict[int, str] = {}
+    templates: dict[int, list[tuple[str, int]]] = {}
     cycle = 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\r\n")
         for key, codes in machine.class_spans():
-            template = templates.get(key)
-            if template is None:
+            pieces = templates.get(key)
+            if pieces is None:
                 rows = []
                 for code in codes:
                     pc, state, opcode, enables = describe(code)
@@ -151,22 +154,29 @@ def _write_trace(path: str, machine: Machine) -> None:
                         ["%d", str(pc), state, opcode]
                         + ["1" if m in enables else "0"
                            for m in GATED_MODULES]) + "\r\n")
-                template = templates[key] = "".join(rows)
-            n = len(codes)
-            fh.write(template % tuple(range(cycle, cycle + n)))
-            cycle += n
+                # CPython 3.11 keeps each freed 20-item tuple on a free
+                # list that it never allocates from, up to 2,000 of them
+                # (400 KB), so a 20-cycle entry is formatted in two pieces.
+                cut = 19 if len(rows) == 20 else len(rows)
+                pieces = templates[key] = [
+                    ("".join(part), len(part))
+                    for part in (rows[:cut], rows[cut:]) if part]
+            for template, n in pieces:
+                fh.write(template % tuple(range(cycle, cycle + n)))
+                cycle += n
 
 
 def _write_io_log(path: str, io_log) -> None:
-    """One CSV row per event of a machine's packed `io_log`."""
+    """One CSV row per event of a machine's packed `io_log`, written in
+    chunks of `_IO_CHUNK` rows."""
     rows = [f"%d,{device},{direction},0x%02X\r\n"
             for device, direction in IO_KINDS]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("cycle,device,direction,value\r\n")
-        for start in range(0, len(io_log), 4096):
+        for start in range(0, len(io_log), _IO_CHUNK):
             fh.write("".join([rows[packed >> 8 & 3] % (packed >> 10,
                                                        packed & 0xFF)
-                              for packed in io_log[start:start + 4096]]))
+                              for packed in io_log[start:start + _IO_CHUNK]]))
 
 
 def _write_report(path: str, report: PowerReport, cycles: int,

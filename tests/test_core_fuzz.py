@@ -19,6 +19,7 @@ and reset or ending inside a block.
 
 import os
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -349,3 +350,34 @@ def test_uart_drain_ending_inside_a_block(gated):
     busy = [r.cycle for r in m.records if "uart" in r.enables]
     assert busy == (list(range(3, 24)) if gated else list(range(200)))
     check_split_run(UART_LOOP, 200, (), [7, 12, 24, 25, 31], gated)
+
+
+# A byte for the UART, then a 20-cycle block looping on itself.
+TWENTY_LOOP = ([("LOADI", 1, 0, 0x41), ("UARTS", 1, 0, 0)]
+               + [("INC", 2, 0, 0)] * 9 + [("BI", 0, 0, 2)])
+
+
+@pytest.mark.parametrize("gated", [True, False])
+def test_twenty_cycle_block_writes_its_rows(gated):
+    # The trace writer formats a 20-cycle entry in two pieces; the first
+    # run of the block holds the UART byte for its first 9 cycles.
+    m = check_against_oracle(TWENTY_LOOP, 200, gated=gated, halt=False)
+    assert 20 in {len(codes) for _, codes in m.class_spans()}
+    check_split_run(TWENTY_LOOP, 200, (), [3, 13, 24, 45], gated)
+
+
+def test_trace_writer_memory_does_not_grow_with_block_runs():
+    # 3,000 runs of a 20-cycle block: what the writer keeps allocated
+    # after it returns must not grow with them.
+    m = machine_for(TWENTY_LOOP)
+    m.run(60_000, halt_on_self_loop=False)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trace.csv")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cli._write_trace(path, m)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+    assert kept < 64 * 1024
