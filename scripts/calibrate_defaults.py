@@ -20,7 +20,7 @@ from mcusim.power import (  # noqa: E402
     DEFAULT_UNGATED_MW,
     calibrate,
 )
-from mcusim.reference import benchmark_activity  # noqa: E402
+from mcusim.reference import run_benchmark  # noqa: E402
 
 OUT = (pathlib.Path(__file__).resolve().parents[1]
        / "src" / "mcusim" / "data" / "default_power.cfg")
@@ -28,7 +28,7 @@ OUT = (pathlib.Path(__file__).resolve().parents[1]
 
 def render() -> str:
     """The default configuration, calibrated on the reference workload."""
-    trace = benchmark_activity()
+    trace = run_benchmark().activity()
     config = calibrate(trace)
     duties = trace.duties()
 

@@ -224,7 +224,7 @@ def assemble(source: str) -> tuple[RomImage, dict[str, int]]:
 def format_instruction(instr: Instruction) -> str:
     """Canonical source form of one instruction."""
     fmt = FORMATS[instr.opcode]
-    name = instr.mnemonic
+    name = instr.opcode.name
     if fmt is Format.NONE:
         return name
     if fmt is Format.IMM:

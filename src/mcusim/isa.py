@@ -118,14 +118,6 @@ class Instruction:
         if not 0 <= self.operand8 <= OPERAND_MASK:
             raise ValueError(f"operand out of range: {self.operand8}")
 
-    @property
-    def mnemonic(self) -> str:
-        return self.opcode.name
-
-    @property
-    def format(self) -> Format:
-        return FORMATS[self.opcode]
-
 
 def encode(instr: Instruction) -> int:
     """Pack an instruction into its canonical 16-bit word."""

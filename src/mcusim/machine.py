@@ -18,20 +18,23 @@ it, block by block, into Python. The first time the core fetches from a
 pc, it turns the straight-line instructions from there, up to and
 including the first branch or port/display instruction, into one
 function built with `compile` from `_SEMANTICS`, the one source template
-per opcode; the block then runs in one call. A translation depends on
-the ROM words alone, so every machine built on the same ROM shares it.
+per opcode; the block then runs in one call. A block that would cross
+the budget runs as its fitting prefix, translated once per length. A
+translation depends on the ROM words alone, so every machine built on
+the same ROM shares it.
 
 Each cycle has a cycle-class code: the pc, the controller state and
 whether the UART was busy. The opcode is a function of the pc and the
 clock enables a function of (state, opcode, busy, policy), so the code
 carries everything a trace row holds; `Machine.describe_class` turns a
 code back into a row. The log does not keep a code per cycle. A block
-run logs one entry, its start pc and how many of its cycles, from the
-first, began with a UART byte queued; its codes follow from the two.
-Only a cycle run alone (reset, idle, or the fetch or execute half of an
-instruction cut by the budget) logs its code. I/O events are logged as
-packed integers. Gating is only the policy: running ungated is
-`GatingPolicy.ungated()` on this core.
+run logs one entry, `cycles << 20 | held << 8 | pc`: its cycles
+alternate fetch and execute from pc, and the first `held` of them began
+with a UART byte queued. Only a cycle run alone (reset, idle, a fetch
+with one cycle left, or the execute half it leaves) logs its code,
+which is below 1 << 20. I/O events are logged as packed integers.
+Gating is only the policy: running ungated is `GatingPolicy.ungated()`
+on this core.
 """
 
 from __future__ import annotations
@@ -60,10 +63,11 @@ _STATES = tuple(FsmState)
 _STATE_SHIFT = 8
 _BUSY = 1 << 11
 # A log entry is either the cycle-class code of one cycle run alone, or
-# _BLOCK | held << 8 | pc for one run of the block at pc, of whose cycles
-# the first `held` began with a UART byte queued.
-_BLOCK = 1 << 20
+# cycles << 20 | held << 8 | pc for one block run from pc, of whose
+# cycles the first `held` began with a UART byte queued.
+_CYCLES_SHIFT = 20
 _HELD_SHIFT = 8
+_HELD_MASK = 0xFFF
 
 # (device, direction) of each I/O event kind. `Machine.io_log` holds an
 # event packed as cycle << 10 | kind << 8 | value.
@@ -209,39 +213,40 @@ def _predecode(words) -> list[tuple[int, int, int, int] | None]:
     return table
 
 
-def _compile_block(table, words, start: int, limit: int,
-                   room: int) -> tuple | None:
-    """Translate at most `limit` instructions from `start` into a block
-    (run, cycles, codes, self-loop pc), or return None if it would take
-    more than `room` cycles.
+def _compile_block(table, words, start: int, room: int) -> tuple | None:
+    """Translate the longest block from `start` that takes at most
+    `room` cycles into (run, cycles, self-loop pc, cut), or return None
+    if not even its first instruction fits.
 
     `run(regs, ram, z, l, cycle, m)` runs the block on machine `m`, with
     `cycle` the cycle count after it, and returns (pc, z, l). A block
-    ends after a branch or a port/display instruction, or before an
-    illegal word; UARTS is a block of its own, so a full FIFO raises
-    before the block has changed anything. An illegal word at `start`
-    is a one-cycle block that raises in its fetch. The codes are the
-    block's cycle-class codes without the UART-busy bit; the self-loop
-    pc is that of a closing branch, otherwise -1: a branch writes no
-    flags, so one taken to itself repeats forever.
+    ends after a branch or a port/display instruction, after 256
+    instructions, or before an illegal word; UARTS is a block of its
+    own, so a full FIFO raises before the block has changed anything.
+    An illegal word at `start` is a one-cycle block that raises in its
+    fetch. `cut` is True when the room ended the block before its end.
+    The self-loop pc is that of a closing branch, otherwise -1: a branch
+    writes no flags, so one taken to itself repeats forever.
     """
     body: list[str] = []
-    codes: list[int] = []
+    cycles = 0
     loop_pc = -1
+    cut = False
     pc = start
-    for _ in range(limit):
+    for _ in range(ROM_WORDS):
         entry = table[pc]
         if entry is None:
-            if not codes:
+            if not cycles:
                 body.append(f"raise IllegalOpcodeError({words[pc]:#06x})")
-                codes.append(pc | _FETCH << _STATE_SHIFT)
+                cycles = 1
             break
         op, rd, rs, imm = entry
-        if op == Op.UARTS and codes:
+        if op == Op.UARTS and cycles:
             break
-        if len(codes) + 2 > room:
-            return None
-        codes += (pc | _FETCH << _STATE_SHIFT, pc | _EXECUTE << _STATE_SHIFT)
+        if cycles + 2 > room:
+            cut = True
+            break
+        cycles += 2
         nxt = (pc + 1) & PC_MASK
         source = _SEMANTICS[op]
         if source:
@@ -253,6 +258,8 @@ def _compile_block(table, words, start: int, limit: int,
         pc = nxt
         if op in IO_OPS:
             break
+    if not cycles:
+        return None
     if not body or not body[-1].startswith("pc = "):
         body.append(f"pc = {pc}")
     # Registers live in locals: load those read before they are written,
@@ -273,7 +280,7 @@ def _compile_block(table, words, start: int, limit: int,
     exec(compile("def run(regs, ram, z, l, cycle, m):\n"
                  + "".join(f"    {line}\n" for line in lines),
                  f"<ROM block at {start:#04x}>", "exec"), namespace)
-    return namespace["run"], len(codes), tuple(codes), loop_pc
+    return namespace["run"], cycles, loop_pc, cut
 
 
 class _Translation:
@@ -283,24 +290,24 @@ class _Translation:
     def __init__(self, words: tuple[int, ...]):
         self.words = words
         self.table = _predecode(words)
-        # The longest block from each pc, and the one-instruction block at
-        # each pc whose execute half runs after a fetch that ran alone.
+        # The whole block from each pc, and the blocks the room cut short,
+        # by (pc, instructions).
         self.blocks: list[tuple | None] = [None] * ROM_WORDS
-        self.singles: list[tuple | None] = [None] * ROM_WORDS
+        self.cuts: dict[tuple[int, int], tuple] = {}
 
     def block(self, pc: int, room: int) -> tuple | None:
-        """The longest block from `pc`, kept once translated, or None
-        while it takes more than `room` cycles."""
-        block = _compile_block(self.table, self.words, pc, ROM_WORDS, room)
-        if block:
-            self.blocks[pc] = block
-            if block[1] <= 2:
-                self.singles[pc] = block
-        return block
-
-    def single(self, pc: int) -> tuple:
-        block = self.singles[pc] = _compile_block(self.table, self.words, pc,
-                                                  1, 2)
+        """The longest block from `pc` that takes at most `room` cycles,
+        kept once translated, or None if no instruction fits."""
+        block = self.blocks[pc]
+        if block and block[1] <= room:
+            return block
+        block = self.cuts.get((pc, room >> 1))
+        if block is None:
+            block = _compile_block(self.table, self.words, pc, room)
+            if block and block[3]:
+                self.cuts[pc, block[1] >> 1] = block
+            elif block:
+                self.blocks[pc] = block
         return block
 
 
@@ -319,10 +326,12 @@ class Machine:
     The gating policy is not part of the translation; without gating,
     pass `GatingPolicy.ungated()`. Memory grows by 4 bytes per block run
     or lone cycle in the log and 8 bytes per I/O event, about 1.2 bytes
-    per cycle on the benchmark's loop. `records`, `cycle_classes` and
-    `io_events` expand those logs on every access, at O(cycles) cost;
-    `activity()` folds the log into per-module enabled-cycle counts once
-    per distinct entry, without expanding it.
+    per cycle on the benchmark's loop. A block run's entry is
+    `cycles << 20 | held << 8 | pc` and a lone cycle's its cycle-class
+    code; `class_spans()` expands each entry into its codes. `records`
+    and `io_events` expand those logs on every access, at O(cycles)
+    cost; `activity()` folds the log into per-module enabled-cycle
+    counts once per distinct entry, without expanding it.
     """
 
     def __init__(self, rom: RomImage | None = None, *,
@@ -343,7 +352,6 @@ class Machine:
         self._wake = False
         self._pending: deque[Injection] = deque()  # a run's, by cycle
         self._log = array("I")  # one entry per block run or lone cycle
-        self._entry_codes: dict[int, tuple[int, ...]] = {}
         self._classes: dict[int, tuple[int, str, str, frozenset[str]]] = {}
 
     @property
@@ -413,26 +421,19 @@ class Machine:
         for entry in self._log:
             yield entry, codes(entry)
 
-    def _codes(self, entry: int) -> tuple[int, ...]:
-        """The cycle-class codes of a log entry, memoised per entry."""
-        codes = self._entry_codes.get(entry)
-        if codes is None:
-            if entry < _BLOCK:
-                codes = (entry,)
-            else:
-                plain = self._code.blocks[entry & PC_MASK][2]
-                held = (entry - _BLOCK) >> _HELD_SHIFT
-                codes = (tuple([code | _BUSY for code in plain[:held]])
-                         + plain[held:])
-            self._entry_codes[entry] = codes
-        return codes
-
-    @property
-    def cycle_classes(self) -> array:
-        """One opaque cycle-class code per cycle run, built anew on each
-        access; read it through `describe_class`."""
-        return array("H", [code for _, codes in self.class_spans()
-                           for code in codes])
+    @staticmethod
+    @lru_cache(maxsize=4096)
+    def _codes(entry: int) -> tuple[int, ...]:
+        """The cycle-class codes of a log entry, memoised per entry for
+        every machine, since an entry alone gives them."""
+        if entry < 1 << _CYCLES_SHIFT:
+            return (entry,)  # a lone cycle's code
+        pc = entry & PC_MASK
+        held = entry >> _HELD_SHIFT & _HELD_MASK
+        return tuple(
+            (pc + i // 2) & PC_MASK | (_FETCH + i % 2) << _STATE_SHIFT
+            | (_BUSY if i < held else 0)
+            for i in range(entry >> _CYCLES_SHIFT))
 
     def describe_class(self, code: int) -> tuple[int, str, str,
                                                  frozenset[str]]:
@@ -459,8 +460,9 @@ class Machine:
     def records(self) -> list[CycleRecord]:
         """Every cycle's trace row, built anew on each access."""
         describe = self.describe_class
+        codes = (code for _, span in self.class_spans() for code in span)
         return [CycleRecord(cycle, *describe(code))
-                for cycle, code in enumerate(self.cycle_classes)]
+                for cycle, code in enumerate(codes)]
 
     def activity(self) -> ActivityTrace:
         """Per-module enabled-cycle counts over every cycle run."""
@@ -480,12 +482,12 @@ class Machine:
         halts in a self-loop (when `halt_on_self_loop`), or a fault
         raises. Returns True when it stopped on such a halt.
 
-        From the fetch state a whole block runs in one step when it ends
-        by `stop`, and logs one entry. Otherwise the fetch takes a cycle
-        of its own, like each reset and idle cycle, and the instruction's
-        execute half runs next; each of these cycles logs its code. With
-        `halt_on_self_loop`, a machine that has already halted runs one
-        more cycle and stops again.
+        From the fetch state the longest block that ends by `stop` runs
+        in one step and logs one entry. With one cycle left the fetch
+        takes a cycle of its own, like each reset and idle cycle, and the
+        instruction's execute half runs next; each of these cycles logs
+        its code. With `halt_on_self_loop`, a machine that has already
+        halted runs one more cycle and stops again.
         """
         cycle = self.cycles
         if cycle >= stop:
@@ -493,7 +495,7 @@ class Machine:
         if self.halted and halt_on_self_loop:
             stop = cycle + 1
         code = self._code
-        blocks, singles = code.blocks, code.singles
+        blocks = code.blocks
         regs = self.regs
         ram = self.ram
         flags = self.flags
@@ -505,16 +507,19 @@ class Machine:
         drain = self._drain
         try:
             while cycle < stop:
-                block = (blocks[pc] or code.block(pc, stop - cycle)
-                         if state == _FETCH else None)
-                if block and cycle + block[1] <= stop:
-                    run, n, _, loop_pc = block
-                    emit(_BLOCK | drain(cycle, n) << _HELD_SHIFT | pc
-                         if txq else _BLOCK | pc)
+                block = blocks[pc] if state == _FETCH else None
+                if block is None or cycle + block[1] > stop:
+                    block = (code.block(pc, stop - cycle)
+                             if state == _FETCH else None)
+                if block:
+                    run, n, loop_pc, _ = block
+                    entry = n << _CYCLES_SHIFT | pc
+                    emit(entry | drain(cycle, n) << _HELD_SHIFT if txq
+                         else entry)
                     cycle += n
                 else:
-                    # Reset, idle, a fetch whose block does not fit, or the
-                    # execute half of an instruction fetched alone.
+                    # Reset, idle, a fetch with one cycle left, or the
+                    # execute half of the instruction it fetched.
                     here = pc | state << _STATE_SHIFT
                     if txq:
                         here |= _BUSY
@@ -530,7 +535,7 @@ class Machine:
                     if state != _EXECUTE:
                         state += 1  # reset1 -> reset2 -> fetch -> execute
                         continue
-                    run, _, _, loop_pc = singles[pc] or code.single(pc)
+                    run, _, loop_pc, _ = code.block(pc, 2)
                     state = _FETCH
                 pc, z, l = run(regs, ram, z, l, cycle, self)
                 if pc == loop_pc:

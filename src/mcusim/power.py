@@ -57,14 +57,6 @@ class ActivityTrace:
         for module in enables:
             self._enabled[module] += cycles
 
-    @classmethod
-    def from_records(cls, records) -> "ActivityTrace":
-        """Build from trace rows carrying an `enables` attribute."""
-        trace = cls()
-        for record in records:
-            trace.add(record.enables)
-        return trace
-
     def duty(self, module: str) -> float:
         if self.total_cycles == 0:
             raise EmptyTraceError("no cycles recorded")

@@ -13,7 +13,6 @@ import importlib.resources
 from .asm import assemble
 from .isa import RomImage
 from .machine import Machine
-from .power import ActivityTrace
 
 BENCHMARK_RESOURCE = "benchmark.asm"
 
@@ -37,7 +36,3 @@ def run_benchmark() -> Machine:
     machine.reset()
     machine.run(BENCHMARK_MAX_CYCLES)
     return machine
-
-
-def benchmark_activity() -> ActivityTrace:
-    return run_benchmark().activity()

@@ -15,7 +15,7 @@ from mcusim.config import default_config
 from mcusim.control import GATED_MODULES, FsmState, GatingPolicy
 from mcusim.isa import FORMATS, Format, Instruction, Op, RomImage, decode, encode
 from mcusim.machine import Machine
-from mcusim.power import ActivityTrace, estimate, power_per_mhz
+from mcusim.power import estimate, power_per_mhz
 from mcusim.reference import run_benchmark
 
 import oracle
@@ -72,7 +72,7 @@ def _module_digests(m):
 def test_acceptance_1_power_reproduction():
     t0 = time.perf_counter()
     result = run_benchmark()
-    trace = ActivityTrace.from_records(result.records)
+    trace = result.activity()
     report = estimate(trace, default_config().power_config())
     elapsed = time.perf_counter() - t0
 
@@ -94,7 +94,7 @@ def test_acceptance_2_power_per_mhz_and_linearity():
     t0 = time.perf_counter()
     config = default_config()
     slope = power_per_mhz(config.power_config())
-    trace = ActivityTrace.from_records(run_benchmark().records)
+    trace = run_benchmark().activity()
 
     worst_rel = 0.0
     for word in range(CONTROL_WORDS):

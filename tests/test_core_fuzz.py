@@ -12,9 +12,10 @@ activity. The derandomised search keeps tier-1 runs repeatable.
 Hand-written cases then pin the edges of block translation: code that
 wraps from 0xFF to 0x00, a block closed by a branch to itself, each
 conditional branch taken and not taken to itself, budgets and
-injections that land inside a block, injections that leave the
-translated blocks as they are, and a UART byte draining across idle
-and reset or ending inside a block.
+injections that land inside a block, a budget that runs a long block's
+fitting prefix, injections that leave the translated blocks as they
+are, and a UART byte draining across idle and reset or ending inside a
+block.
 """
 
 import os
@@ -29,7 +30,6 @@ from mcusim import cli
 from mcusim.control import GATED_MODULES, GatingPolicy
 from mcusim.isa import Op, RomImage
 from mcusim.machine import Injection, Machine, _translate
-from mcusim.power import ActivityTrace
 
 import oracle
 from test_machine import encode_tuple
@@ -143,9 +143,6 @@ def check_against_oracle(program, budget, injections=(), reset=False,
     assert activity.duties() == {
         module: expected.enabled[module] / expected.cycles
         for module in GATED_MODULES}
-    from_records = ActivityTrace.from_records(m.records)
-    assert (from_records.total_cycles, from_records.duties()) == (
-        activity.total_cycles, activity.duties())
 
     assert [r.fsm_state for r in m.records] == expected.states
 
@@ -197,8 +194,9 @@ def rows_written(m):
 
 def check_split_run(program, budget, injections, cuts, gated=True):
     """One run to `budget` and the same run stopped at each cycle of
-    `cuts`, where blocks that do not fit run a cycle at a time, must
-    give the same outputs, and those of the one run must be its rows."""
+    `cuts`, where a block that does not fit runs its fitting prefix,
+    must give the same outputs, and those of the one run must be its
+    rows."""
     whole, split = machine_for(program, gated), machine_for(program, gated)
     drive(whole, budget, injections, halt=False)
     drive(split, budget, injections, [(cut, None) for cut in cuts],
@@ -292,6 +290,38 @@ def test_budgets_and_injections_inside_a_block():
     for cycle in range(0, 60, 3):
         check_against_oracle(PORT1_LOOP, 70, [(cycle, cycle + 1),
                                               (cycle + 1, 0xA5)])
+
+
+# A byte for the UART, then INCs among NOPs from address 2 to the BI at
+# 200: a 398-cycle block that every budget below cuts.
+LONG_BLOCK = nops_except({0: ("LOADI", 1, 0, 0x41), 1: ("UARTS", 1, 0, 0),
+                          **{a: ("INC", 2, 0, 0) for a in range(2, 200, 7)},
+                          200: ("BI", 0, 0, 0)})
+
+
+@pytest.mark.parametrize("budget", [101, 102, 250, 251])
+def test_a_budget_inside_a_block_runs_its_fitting_prefix(budget,
+                                                         monkeypatch):
+    # The run to `budget` translates the blocks at 0 and 1 and the prefix
+    # of the block at 2 that fits. An odd budget leaves a lone fetch,
+    # whose execute half, run next, translates one instruction. A second
+    # machine on the ROM reuses all of them.
+    compiled = []
+
+    def counting(source, filename, mode):
+        compiled.append(filename)
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr("mcusim.machine.compile", counting, raising=False)
+    _translate.cache_clear()
+    for _ in range(2):
+        m = machine_for(LONG_BLOCK)
+        m.run(budget)
+        m.run(budget + 1)
+    lone = [f"<ROM block at {budget // 2:#04x}>"] if budget % 2 else []
+    assert compiled == [f"<ROM block at {pc:#04x}>" for pc in (0, 1, 2)] + lone
+    check_split_run(LONG_BLOCK, 1000, (),
+                    [budget, budget + 1, budget + 4, budget + 400])
 
 
 def test_injections_translate_no_extra_blocks():
