@@ -26,7 +26,6 @@ from .isa import (
     ROM_WORDS,
     WORD_MASK,
     BY_MNEMONIC,
-    Format,
     Instruction,
     Op,
     RomImage,
@@ -37,7 +36,8 @@ from .isa import (
 
 
 class AsmError(Exception):
-    """Assembly failure, tagged with the 1-based source line."""
+    """A bad line of assembly source or of a ROM image file, tagged with
+    its 1-based line number."""
 
     def __init__(self, line: int, message: str):
         self.line = line
@@ -68,12 +68,8 @@ class ProgramTooLargeError(AsmError):
     pass
 
 
-class RomFileError(Exception):
-    """Malformed ROM image file, tagged with the offending 1-based line."""
-
-    def __init__(self, line: int, message: str):
-        self.line = line
-        super().__init__(f"line {line}: {message}")
+class RomFileError(AsmError):
+    """Malformed ROM image file."""
 
 
 _LABEL_RE = re.compile(r"^([A-Za-z_]\w*)\s*:\s*(.*)$")
@@ -140,34 +136,15 @@ def _encode_statement(mnemonic: str, field: str, lineno: int,
     op = BY_MNEMONIC.get(mnemonic.upper())
     if op is None:
         raise UnknownMnemonicError(lineno, f"unknown mnemonic '{mnemonic}'")
-    fmt = FORMATS[op]
+    fields = FORMATS[op].value
     toks = _operands(field)
-
-    def arity(n):
-        if len(toks) != n:
-            raise AsmSyntaxError(
-                lineno, f"{op.name} takes {n} operand(s), got {len(toks)}")
-
-    if fmt is Format.NONE:
-        arity(0)
-        instr = Instruction(op)
-    elif fmt is Format.IMM:
-        arity(1)
-        instr = Instruction(op, operand8=_parse_value(
-            toks[0], lineno, symbols, OPERAND_MASK))
-    elif fmt is Format.REG:
-        arity(1)
-        instr = Instruction(op, rd=_parse_register(toks[0], lineno))
-    elif fmt is Format.REG_REG:
-        arity(2)
-        instr = Instruction(op, rd=_parse_register(toks[0], lineno),
-                            rs=_parse_register(toks[1], lineno))
-    else:  # REG_IMM
-        arity(2)
-        instr = Instruction(op, rd=_parse_register(toks[0], lineno),
-                            operand8=_parse_value(toks[1], lineno, symbols,
-                                                  OPERAND_MASK))
-    return encode(instr)
+    if len(toks) != len(fields):
+        raise AsmSyntaxError(lineno, f"{op.name} takes {len(fields)} "
+                                     f"operand(s), got {len(toks)}")
+    return encode(Instruction(op, **{
+        name: (_parse_value(tok, lineno, symbols, OPERAND_MASK)
+               if name == "operand8" else _parse_register(tok, lineno))
+        for name, tok in zip(fields, toks)}))
 
 
 def assemble(source: str) -> tuple[RomImage, dict[str, int]]:
@@ -223,17 +200,11 @@ def assemble(source: str) -> tuple[RomImage, dict[str, int]]:
 
 def format_instruction(instr: Instruction) -> str:
     """Canonical source form of one instruction."""
-    fmt = FORMATS[instr.opcode]
+    operands = [f"0x{instr.operand8:02X}" if name == "operand8"
+                else f"R{getattr(instr, name)}"
+                for name in FORMATS[instr.opcode].value]
     name = instr.opcode.name
-    if fmt is Format.NONE:
-        return name
-    if fmt is Format.IMM:
-        return f"{name} 0x{instr.operand8:02X}"
-    if fmt is Format.REG:
-        return f"{name} R{instr.rd}"
-    if fmt is Format.REG_REG:
-        return f"{name} R{instr.rd}, R{instr.rs}"
-    return f"{name} R{instr.rd}, 0x{instr.operand8:02X}"
+    return f"{name} {', '.join(operands)}" if operands else name
 
 
 def disassemble(image: RomImage) -> str:
@@ -243,13 +214,22 @@ def disassemble(image: RomImage) -> str:
     an unassigned opcode or stray bits in unused fields) are kept exact
     with a `.word 0xNNNN` line.
     """
-    out = []
-    for word in image:
-        if is_canonical(word):
-            out.append(format_instruction(decode(word)))
-        else:
-            out.append(f".word 0x{word:04X}")
-    return "\n".join(out) + "\n"
+    return "".join(f"{format_instruction(decode(word))}\n"
+                   if is_canonical(word) else f".word 0x{word:04X}\n"
+                   for word in image)
+
+
+def read_text(path: str, error) -> str:
+    """A file's text, decoded as UTF-8. A byte that does not decode
+    raises `error(line, message)` with the 1-based line that holds it,
+    counted as `str.splitlines` counts lines."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        line = len((data[:exc.start].decode() + "?").splitlines())
+        raise error(line, f"byte 0x{data[exc.start]:02X} is not UTF-8")
 
 
 def format_rom_file(image: RomImage) -> str:

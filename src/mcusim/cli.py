@@ -16,14 +16,14 @@ import csv
 import datetime
 import sys
 
-from .asm import AsmError, RomFileError, assemble, disassemble, \
-    format_rom_file, parse_rom_file
+from .asm import AsmError, AsmSyntaxError, RomFileError, assemble, \
+    disassemble, format_rom_file, parse_rom_file, read_text
 from .config import ConfigError, SimConfig, default_config, load_config
 from .control import GATED_MODULES, GatingPolicy
 from .isa import IllegalOpcodeError, RomImage
 from .machine import IO_KINDS, Injection, Machine
 from .peripherals import TxOverflowError
-from .power import CONTROL_NODE, PowerReport, estimate
+from .power import CONTROL_NODE, PowerRangeError, PowerReport, estimate
 from .reference import BENCHMARK_MAX_CYCLES
 
 EXIT_OK = 0
@@ -88,13 +88,8 @@ def _fail(message: str, code: int = EXIT_ERROR) -> int:
 
 def cmd_asm(args) -> int:
     try:
-        with open(args.source, encoding="utf-8") as fh:
-            source = fh.read()
-    except OSError as exc:
-        return _fail(str(exc))
-    try:
-        image, _ = assemble(source)
-    except AsmError as exc:
+        image, _ = assemble(read_text(args.source, AsmSyntaxError))
+    except (OSError, AsmError) as exc:
         return _fail(str(exc))
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -106,8 +101,7 @@ def cmd_asm(args) -> int:
 
 def cmd_disasm(args) -> int:
     try:
-        with open(args.image, encoding="utf-8") as fh:
-            image = parse_rom_file(fh.read())
+        image = parse_rom_file(read_text(args.image, RomFileError))
     except (OSError, RomFileError) as exc:
         return _fail(str(exc))
     sys.stdout.write(disassemble(image))
@@ -227,8 +221,7 @@ def cmd_run(args, parser: _Parser) -> int:
         return _fail(str(exc))
 
     try:
-        with open(args.rom, encoding="utf-8") as fh:
-            rom: RomImage = parse_rom_file(fh.read())
+        rom: RomImage = parse_rom_file(read_text(args.rom, RomFileError))
     except (OSError, RomFileError) as exc:
         return _fail(str(exc))
 
@@ -275,7 +268,7 @@ def cmd_run(args, parser: _Parser) -> int:
             print(f"gated={report.total_gated_mw:.3f} "
                   f"ungated={report.total_ungated_mw:.3f} "
                   f"savings={report.savings_percent:.2f}%")
-    except OSError as exc:
+    except (OSError, PowerRangeError) as exc:
         return _fail(str(exc))
     return status
 

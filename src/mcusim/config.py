@@ -14,7 +14,8 @@ Lines are `key = value`; `#` starts a comment. Values omitted by a user
 file fall back to the packaged defaults. Numbers must be finite;
 power.vdd, power.vswing and power.f_mhz must be above zero and
 capacitances at least zero. Once the file is read, power.vswing must
-not exceed power.vdd and at least one capacitance must be above zero; a
+not exceed power.vdd, at least one capacitance must be above zero, and
+the ungated power at power.f_mhz must be a positive finite number; a
 breach is reported at the last line that set one of the keys involved.
 """
 
@@ -24,10 +25,11 @@ import importlib.resources
 import math
 from dataclasses import dataclass, field, replace
 
+from .asm import read_text
 from .clocking import CONTROL_WORDS, frequency_of
 from .control import GATED_MODULES, GatingPolicy
 from .isa import BY_MNEMONIC, Op
-from .power import POWER_NODES, PowerConfig
+from .power import POWER_NODES, PowerConfig, power_per_mhz
 
 DEFAULT_CONFIG_RESOURCE = "default_power.cfg"
 
@@ -158,6 +160,12 @@ def _check_across_keys(config: SimConfig, set_at: dict[str, int]) -> None:
     if caps and not any(config.cap.values()):
         raise ConfigError(max(caps), "every power.cap value is 0, so there "
                                      "is no power to estimate")
+    power = [n for key, n in set_at.items() if key.startswith("power.")]
+    ungated_mw = config.f_mhz * power_per_mhz(config.power_config())
+    if power and not 0 < ungated_mw < math.inf:
+        raise ConfigError(max(power), "the ungated power at power.f_mhz "
+                          f"({config.f_mhz:g}) is not a positive finite "
+                          "number")
 
 
 def _empty_base() -> SimConfig:
@@ -173,6 +181,5 @@ def default_config() -> SimConfig:
 
 
 def load_config(path: str, base: SimConfig | None = None) -> SimConfig:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_config(text, base if base is not None else default_config())
+    return parse_config(read_text(path, ConfigError),
+                        base if base is not None else default_config())

@@ -8,6 +8,10 @@ Instruction words are 16 bits, direct addressing only:
     bits [7:0]    8-bit immediate value or direct address
 
 Opcode values 0b10101 and 0b11111 are unassigned and decode as illegal.
+
+Each `Format` is the tuple of the operand fields it carries, in source
+order, and `FIELDS` holds each field's shift and mask; encoding,
+decoding, assembling and disassembling all read this one layout table.
 """
 
 from __future__ import annotations
@@ -63,13 +67,22 @@ BY_MNEMONIC: dict[str, Op] = {op.name: op for op in Op}
 
 
 class Format(Enum):
-    """Operand syntax class; selects which encoded fields are meaningful."""
+    """Operand syntax class: the encoded fields it carries, in order.
+    The rest of a word's operand bits are zero in its canonical form."""
 
-    NONE = "none"        # no operands
-    IMM = "imm"          # 8-bit immediate / direct address only
-    REG = "reg"          # one register
-    REG_REG = "reg_reg"  # destination and source registers
-    REG_IMM = "reg_imm"  # register plus 8-bit immediate / direct address
+    NONE = ()
+    IMM = ("operand8",)
+    REG = ("rd",)
+    REG_REG = ("rd", "rs")
+    REG_IMM = ("rd", "operand8")
+
+
+# (shift, mask) of each operand field within a word.
+FIELDS: dict[str, tuple[int, int]] = {
+    "rd": (8, NUM_REGISTERS - 1),
+    "rs": (5, NUM_REGISTERS - 1),
+    "operand8": (0, OPERAND_MASK),
+}
 
 
 _REG_REG_OPS = (Op.MOVE, Op.AND, Op.OR, Op.XOR, Op.ADD, Op.SUB)
@@ -122,15 +135,8 @@ class Instruction:
 def encode(instr: Instruction) -> int:
     """Pack an instruction into its canonical 16-bit word."""
     word = int(instr.opcode) << 11
-    fmt = FORMATS[instr.opcode]
-    if fmt is Format.REG_REG:
-        word |= (instr.rd << 8) | (instr.rs << 5)
-    elif fmt is Format.REG:
-        word |= instr.rd << 8
-    elif fmt is Format.REG_IMM:
-        word |= (instr.rd << 8) | instr.operand8
-    elif fmt is Format.IMM:
-        word |= instr.operand8
+    for name in FORMATS[instr.opcode].value:
+        word |= getattr(instr, name) << FIELDS[name][0]
     return word
 
 
@@ -145,16 +151,9 @@ def decode(word: int) -> Instruction:
     if code in ILLEGAL_CODES:
         raise IllegalOpcodeError(word)
     op = Op(code)
-    fmt = FORMATS[op]
-    if fmt is Format.REG_REG:
-        return Instruction(op, rd=(word >> 8) & 7, rs=(word >> 5) & 7)
-    if fmt is Format.REG:
-        return Instruction(op, rd=(word >> 8) & 7)
-    if fmt is Format.REG_IMM:
-        return Instruction(op, rd=(word >> 8) & 7, operand8=word & OPERAND_MASK)
-    if fmt is Format.IMM:
-        return Instruction(op, operand8=word & OPERAND_MASK)
-    return Instruction(op)
+    return Instruction(op, **{name: (word >> shift) & mask
+                              for name in FORMATS[op].value
+                              for shift, mask in [FIELDS[name]]})
 
 
 def is_canonical(word: int) -> bool:

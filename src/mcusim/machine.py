@@ -148,13 +148,12 @@ class Injection:
             raise ValueError("injected value must be one byte")
 
 
-# What each opcode does, as Python source over a block's locals: r0-r7
-# are the registers, z and l the flags, pc the address to fetch next,
-# ram the RAM, m the machine and cycle the cycle count just after the
-# instruction's execute cycle. {d}, {s} and {i} are the rd, rs and imm
-# fields and {n} the address after the instruction. Statements are
-# separated by "; "; a register is written only by a statement that
-# starts `r<k> = `, and only a branch assigns pc.
+# What each opcode does, as one line of Python over a block's locals:
+# r0-r7 are the registers, z and l the flags, pc the address to fetch
+# next, ram the RAM, m the machine and cycle the cycle count just after
+# the instruction's execute cycle. {d}, {s} and {i} are the rd, rs and
+# imm fields and {n} the address after the instruction. A register is
+# written only by `r<k> = `, and only a branch assigns pc.
 _SEMANTICS = {
     Op.NOP: "",
     Op.LOAD: "r{d} = ram[{i}]",
@@ -193,6 +192,7 @@ _SEMANTICS = {
     Op.UARTS: "m.peripherals.uart.send(r{d} & 0xFF)",
 }
 _REGISTER = re.compile(r"\br([0-7])\b")
+_ASSIGNED = re.compile(r"\br([0-7]) = ")
 
 
 def _predecode(words) -> list[tuple[int, int, int, int] | None]:
@@ -213,10 +213,10 @@ def _predecode(words) -> list[tuple[int, int, int, int] | None]:
     return table
 
 
-def _compile_block(table, words, start: int, room: int) -> tuple | None:
+def _compile_block(table, words, start: int, room: int) -> tuple:
     """Translate the longest block from `start` that takes at most
-    `room` cycles into (run, cycles, self-loop pc, cut), or return None
-    if not even its first instruction fits.
+    `room` cycles, at least 2 unless the word at `start` is illegal,
+    into (run, cycles, self-loop pc, cut).
 
     `run(regs, ram, z, l, cycle, m)` runs the block on machine `m`, with
     `cycle` the cycle count after it, and returns (pc, z, l). A block
@@ -248,34 +248,23 @@ def _compile_block(table, words, start: int, room: int) -> tuple | None:
             break
         cycles += 2
         nxt = (pc + 1) & PC_MASK
-        source = _SEMANTICS[op]
-        if source:
-            source = source.format(d=rd, s=rs, i=imm, n=nxt)
-            body += source.split("; ")
+        source = _SEMANTICS[op].format(d=rd, s=rs, i=imm, n=nxt)
+        body.append(source)
         if source.startswith("pc = "):
             loop_pc = pc
             break
         pc = nxt
         if op in IO_OPS:
             break
-    if not cycles:
-        return None
-    if not body or not body[-1].startswith("pc = "):
+    assert cycles, "a block needs room for its first instruction"
+    if loop_pc < 0:
         body.append(f"pc = {pc}")
-    # Registers live in locals: load those read before they are written,
-    # store back those written.
-    loads: set[str] = set()
-    stores: set[str] = set()
-    for stmt in body:
-        target, assign, value = stmt.partition(" = ")
-        loads.update(set(_REGISTER.findall(value if assign else stmt))
-                     - stores)
-        written = _REGISTER.fullmatch(target) if assign else None
-        if written:
-            stores.add(written.group(1))
-    lines = ([f"r{k} = regs[{k}]" for k in sorted(loads)] + body
-             + [f"regs[{k}] = r{k}" for k in sorted(stores)]
-             + ["return pc, z, l"])
+    # Registers live in locals: load those it names, store those it assigns.
+    text = "\n".join(body)
+    loads = sorted(set(_REGISTER.findall(text)))
+    stores = sorted(set(_ASSIGNED.findall(text)))
+    lines = ([f"r{k} = regs[{k}]" for k in loads] + body
+             + [f"regs[{k}] = r{k}" for k in stores] + ["return pc, z, l"])
     namespace = {"IllegalOpcodeError": IllegalOpcodeError}
     exec(compile("def run(regs, ram, z, l, cycle, m):\n"
                  + "".join(f"    {line}\n" for line in lines),
@@ -298,15 +287,17 @@ class _Translation:
     def block(self, pc: int, room: int) -> tuple | None:
         """The longest block from `pc` that takes at most `room` cycles,
         kept once translated, or None if no instruction fits."""
+        if room < 2 and self.table[pc] is not None:
+            return None  # a lone fetch: no instruction fits
         block = self.blocks[pc]
         if block and block[1] <= room:
             return block
         block = self.cuts.get((pc, room >> 1))
         if block is None:
             block = _compile_block(self.table, self.words, pc, room)
-            if block and block[3]:
+            if block[3]:
                 self.cuts[pc, block[1] >> 1] = block
-            elif block:
+            else:
                 self.blocks[pc] = block
         return block
 

@@ -14,6 +14,7 @@ always-on control path and the gated modules.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .control import GATED_MODULES
@@ -40,6 +41,10 @@ class InfeasibleTargetsError(Exception):
 
 class NoCapacitanceError(Exception):
     """Every capacitance is zero, so there is no power to compare."""
+
+
+class PowerRangeError(Exception):
+    """The operating point's power is out of a float's range."""
 
 
 class ActivityTrace:
@@ -115,6 +120,8 @@ def estimate(trace: ActivityTrace, config: PowerConfig) -> PowerReport:
     """Fold a trace into per-module and total power figures."""
     if trace.total_cycles == 0:
         raise EmptyTraceError("no cycles recorded")
+    if not any(config.cap.values()):
+        raise NoCapacitanceError("every capacitance is 0")
     scale_mw = config.f_hz * config.vdd * config.vswing * 1e3
     duty = trace.duties()
     duty[CONTROL_NODE] = 1.0
@@ -122,8 +129,10 @@ def estimate(trace: ActivityTrace, config: PowerConfig) -> PowerReport:
     gated = {node: ungated[node] * duty[node] for node in POWER_NODES}
     total_gated = sum(gated.values())
     total_ungated = sum(ungated.values())
-    if total_ungated == 0:
-        raise NoCapacitanceError("every capacitance is 0")
+    slope = power_per_mhz(config)
+    if not (0 < total_ungated < math.inf and math.isfinite(slope)):
+        raise PowerRangeError(f"the ungated power at {config.f_hz / 1e6:g} "
+                              "MHz is not a positive finite number")
     return PowerReport(
         per_module_mw=gated,
         per_module_ungated_mw=ungated,
@@ -131,7 +140,7 @@ def estimate(trace: ActivityTrace, config: PowerConfig) -> PowerReport:
         total_gated_mw=total_gated,
         total_ungated_mw=total_ungated,
         savings_percent=100.0 * (1.0 - total_gated / total_ungated),
-        mw_per_mhz_ungated=power_per_mhz(config),
+        mw_per_mhz_ungated=slope,
         f_hz=config.f_hz,
     )
 

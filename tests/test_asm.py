@@ -108,6 +108,19 @@ def test_assembly_errors(source, error):
         assemble(source)
 
 
+@pytest.mark.parametrize("source,message", [
+    ("NOP R1\n", "NOP takes 0 operand(s), got 1"),
+    ("BI\n", "BI takes 1 operand(s), got 0"),
+    ("INC R1, R2\n", "INC takes 1 operand(s), got 2"),
+    ("ADD R1\n", "ADD takes 2 operand(s), got 1"),
+    ("LOADI R1, 2, 3\n", "LOADI takes 2 operand(s), got 3"),
+])
+def test_arity_errors_name_the_operand_count(source, message):
+    with pytest.raises(AsmSyntaxError) as exc:
+        assemble(source)
+    assert str(exc.value) == f"line 1: {message}"
+
+
 def test_errors_carry_the_source_line():
     with pytest.raises(UnknownMnemonicError) as exc:
         assemble("NOP\nNOP\nFROB\n")
@@ -116,14 +129,17 @@ def test_errors_carry_the_source_line():
 
 
 def test_disassemble_canonical_and_escaped_words():
-    listing = disassemble(RomImage([0x6940, 0x23FF, 0xA800, 0x6941]))
+    listing = disassemble(RomImage([0x6940, 0x23FF, 0xA800, 0x6941,
+                                    0x2805, 0x3B00]))
     lines = listing.splitlines()
     assert len(lines) == ROM_WORDS
     assert lines[0] == "ADD R1, R2"
     assert lines[1] == "LOADI R3, 0xFF"
     assert lines[2] == ".word 0xA800"   # illegal opcode kept verbatim
     assert lines[3] == ".word 0x6941"   # stray bits kept verbatim
-    assert lines[4] == "NOP"
+    assert lines[4] == "BI 0x05"
+    assert lines[5] == "INC R3"
+    assert lines[6] == "NOP"
 
 
 def test_disassemble_assemble_roundtrip_on_random_images():

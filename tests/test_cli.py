@@ -278,7 +278,8 @@ def test_bad_config_exits_1(bench_rom, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line", ["power.vdd = -1", "power.f_mhz = nan",
-                                  "power.cap.rom = inf"])
+                                  "power.cap.rom = inf", "power.f_mhz = 1e308",
+                                  "power.cap.rom = 1e308"])
 def test_bad_power_values_exit_1_naming_the_line(bench_rom, tmp_path,
                                                  capsys, line):
     cfg = tmp_path / "bad.cfg"
@@ -318,3 +319,34 @@ def test_all_zero_capacitances_exit_1(bench_rom, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("mcusim: error: line 9: every power.cap")
+
+
+def test_power_out_of_range_at_the_osc_word_exits_1(bench_rom, tmp_path,
+                                                     capsys):
+    # Finite at power.f_mhz, the ungated power overflows at 134 MHz.
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text("power.f_mhz = 1e-10\npower.cap.rom = 1e298\n")
+    assert run_cli("run", "--rom", str(bench_rom), "--config", str(cfg),
+                   "--osc", "0") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("mcusim: error: the ungated power at 134 MHz "
+                            "is not a positive finite number\n")
+
+
+@pytest.mark.parametrize("command", ["asm", "disasm", "rom", "config"])
+def test_undecodable_input_exits_1_naming_the_line(bench_rom, tmp_path,
+                                                   capsys, command):
+    bad = tmp_path / "bad.txt"
+    good = {"asm": b"NOP\r\n", "disasm": b"0000\r\n", "rom": b"0000\r\n",
+            "config": b"# power\r\n"}[command]
+    bad.write_bytes(good + b"\xff\n")
+    argv = {"asm": ["asm", str(bad), str(tmp_path / "out.rom")],
+            "disasm": ["disasm", str(bad)],
+            "rom": ["run", "--rom", str(bad)],
+            "config": ["run", "--rom", str(bench_rom), "--config", str(bad)],
+            }[command]
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "mcusim: error: line 2: byte 0xFF is not UTF-8\n"

@@ -103,6 +103,16 @@ def test_swing_above_supply_names_the_later_line(text, line):
     assert exc.value.line == line
 
 
+@pytest.mark.parametrize("text", [
+    "power.vdd = 1e200\n# swing\npower.vswing = 1e200\n",
+    "power.vdd = 1e-300\n# swing\npower.vswing = 1e-300\n",
+])
+def test_power_out_of_float_range_names_the_last_power_line(text):
+    with pytest.raises(ConfigError, match="not a positive finite") as exc:
+        parse_config(text, default_config())
+    assert exc.value.line == 3
+
+
 def test_all_zero_capacitances_are_rejected():
     text = "".join(f"power.cap.{node} = 0\n" for node in POWER_NODES)
     with pytest.raises(ConfigError, match="every power.cap value is 0") as exc:

@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 from mcusim import cli
 from mcusim.control import GATED_MODULES, GatingPolicy
 from mcusim.isa import Op, RomImage
+from mcusim import machine as machine_module
 from mcusim.machine import Injection, Machine, _translate
 
 import oracle
@@ -322,6 +323,30 @@ def test_a_budget_inside_a_block_runs_its_fitting_prefix(budget,
     assert compiled == [f"<ROM block at {pc:#04x}>" for pc in (0, 1, 2)] + lone
     check_split_run(LONG_BLOCK, 1000, (),
                     [budget, budget + 1, budget + 4, budget + 400])
+
+
+def test_stepping_translates_only_what_it_runs(monkeypatch):
+    # A lone fetch runs no instruction, so stepping by tick() asks for a
+    # translation only at an execute half, and each request compiles.
+    calls, compiled = [], []
+    compile_block = machine_module._compile_block
+
+    def counting_calls(*args):
+        calls.append(args[2])
+        return compile_block(*args)
+
+    def counting_compiles(source, filename, mode):
+        compiled.append(filename)
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(machine_module, "_compile_block", counting_calls)
+    monkeypatch.setattr(machine_module, "compile", counting_compiles,
+                        raising=False)
+    _translate.cache_clear()
+    m = machine_for(PORT1_LOOP)
+    for _ in range(60):
+        m.tick()
+    assert len(calls) == len(compiled) == len(set(calls)) > 1
 
 
 def test_injections_translate_no_extra_blocks():

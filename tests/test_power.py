@@ -16,6 +16,7 @@ from mcusim.power import (
     InfeasibleTargetsError,
     NoCapacitanceError,
     PowerConfig,
+    PowerRangeError,
     calibrate,
     estimate,
     power_per_mhz,
@@ -47,6 +48,15 @@ def flat_config(cap=1e-12, **overrides) -> PowerConfig:
 def test_estimate_rejects_an_all_zero_capacitance_table():
     with pytest.raises(NoCapacitanceError):
         estimate(mixed_trace(), flat_config(cap=0.0))
+
+
+@pytest.mark.parametrize("overrides", [
+    {"f_hz": 1e308}, {"cap": 1e300}, {"vdd": 1e200, "vswing": 1e200},
+    {"vdd": 1e-200, "vswing": 1e-200},
+])
+def test_estimate_rejects_power_out_of_float_range(overrides):
+    with pytest.raises(PowerRangeError, match="not a positive finite"):
+        estimate(mixed_trace(), flat_config(**overrides))
 
 
 def test_duty_accounting():
