@@ -76,6 +76,7 @@ _LABEL_RE = re.compile(r"^([A-Za-z_]\w*)\s*:\s*(.*)$")
 _NAME_RE = re.compile(r"^[A-Za-z_]\w*$")
 _REG_RE = re.compile(r"^[Rr](\d+)$")
 _NUM_RE = re.compile(r"^(0[xX][0-9A-Fa-f]+|\d+)$")
+_WORD_RE = re.compile(r"[0-9A-Fa-f]{4}")
 
 
 def _split_statement(raw: str) -> tuple[list[str], str | None, str]:
@@ -245,7 +246,7 @@ def parse_rom_file(text: str) -> RomImage:
     words = []
     for lineno, line in enumerate(lines, start=1):
         tok = line.strip()
-        if len(tok) != 4 or any(c not in "0123456789abcdefABCDEF" for c in tok):
+        if not _WORD_RE.fullmatch(tok):
             raise RomFileError(lineno, f"expected a 4-hex-digit word, got '{tok}'")
         words.append(int(tok, 16))
     if len(words) != ROM_WORDS:

@@ -15,6 +15,7 @@ import argparse
 import csv
 import datetime
 import sys
+from functools import cache
 
 from .asm import AsmError, AsmSyntaxError, RomFileError, assemble, \
     disassemble, format_rom_file, parse_rom_file, read_text
@@ -46,7 +47,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@cache
 def build_parser() -> _Parser:
+    """The CLI's parser, built on first use and kept for the process."""
     parser = _Parser(prog="mcusim",
                      description="16-bit microcontroller simulator with "
                                  "clock gating and power estimation")

@@ -10,8 +10,12 @@ The UART transmitter needs its clock while a byte is draining, so its
 enable is held high during those cycles regardless of what the current
 instruction is doing, except in idle mode, where the policy's idle row
 alone decides. The UART advances on exactly the cycles whose enables
-include it: gated, idle stops every module clock and freezes the drain;
-ungated, the drain goes on.
+include it, so its bytes leave back to back, `BAUD_DIVISOR` clocked
+cycles apart, and `UARTS` knows the cycle each byte leaves when it
+queues it. The core logs and drops a byte once it runs that cycle, and
+before any other event of the cycle. Gated, idle stops every module
+clock and moves each queued byte's leave cycle one later; ungated, the
+drain goes on.
 
 The ROM is read-only once a `Machine` is built, so the core translates
 it, block by block, into Python. The first time the core fetches from a
@@ -189,7 +193,7 @@ _SEMANTICS = {
               "m._io_log.append((cycle - 1) << 10 | 0x100 | r{d})",
     Op.B7S: "seg = m.peripherals.sevenseg; seg.show(r{d} & 0xF); "
             "m._io_log.append((cycle - 1) << 10 | 0x200 | seg.segments)",
-    Op.UARTS: "m.peripherals.uart.send(r{d} & 0xFF)",
+    Op.UARTS: "m.peripherals.uart.send(r{d} & 0xFF, cycle - 1)",
 }
 _REGISTER = re.compile(r"\br([0-7])\b")
 _ASSIGNED = re.compile(r"\br([0-7]) = ")
@@ -494,8 +498,8 @@ class Machine:
         pc = self.pc
         state = self._state
         emit = self._log.append
-        txq = self.peripherals.uart.tx_queue
-        drain = self._drain
+        done = self.peripherals.uart.tx_done
+        leave = self._uart_leave
         try:
             while cycle < stop:
                 block = blocks[pc] if state == _FETCH else None
@@ -505,17 +509,24 @@ class Machine:
                 if block:
                     run, n, loop_pc, _ = block
                     entry = n << _CYCLES_SHIFT | pc
-                    emit(entry | drain(cycle, n) << _HELD_SHIFT if txq
-                         else entry)
+                    if done:
+                        entry |= min(done[-1] - cycle + 1, n) << _HELD_SHIFT
+                        if done[0] < cycle + n:
+                            leave(cycle + n)
+                    emit(entry)
                     cycle += n
                 else:
                     # Reset, idle, a fetch with one cycle left, or the
                     # execute half of the instruction it fetched.
                     here = pc | state << _STATE_SHIFT
-                    if txq:
+                    if done:
                         here |= _BUSY
-                        if "uart" in self.describe_class(here)[3]:
-                            drain(cycle, 1)
+                        if "uart" not in self.describe_class(here)[3]:
+                            # Gated idle stops the UART's clock.
+                            for i in range(len(done)):
+                                done[i] += 1
+                        elif done[0] == cycle:
+                            leave(cycle + 1)
                     emit(here)
                     cycle += 1
                     if state == _IDLE:
@@ -545,14 +556,12 @@ class Machine:
             flags.z, flags.l = z, l
         return halt_on_self_loop and self.halted
 
-    def _drain(self, cycle: int, n: int) -> int:
-        """Clock the UART over `n` consecutive cycles from `cycle` on and
-        log each byte that leaves. Returns how many of those cycles, from
-        the first, began with a byte queued."""
-        held, sent = self.peripherals.uart.tick(n)
-        for offset, byte in sent:
-            self._io_log.append((cycle + offset) << 10 | _UART_OUT | byte)
-        return held
+    def _uart_leave(self, stop: int) -> None:
+        """Log and drop each queued UART byte that leaves before `stop`."""
+        uart, log = self.peripherals.uart, self._io_log
+        while uart.tx_done and uart.tx_done[0] < stop:
+            log.append(uart.tx_done.popleft() << 10 | _UART_OUT
+                       | uart.tx_queue.popleft())
 
     # -- stepping ------------------------------------------------------
 

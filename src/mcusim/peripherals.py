@@ -6,6 +6,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 FIFO_DEPTH = 256
+BAUD_DIVISOR = 10  # cycles a byte takes to leave
 
 # gfedcba common-cathode patterns for digits 0-9; non-BCD inputs blank.
 SEGMENT_TABLE = (
@@ -52,52 +53,37 @@ class PortState:
 
 
 class Uart:
-    """Byte-granularity UART: one byte leaves per baud_divisor cycles.
+    """Byte-granularity UART: a byte leaves BAUD_DIVISOR clocked cycles
+    after the later of its send and the leave of the byte ahead of it.
 
     No start/stop framing is modeled; the divisor is the whole cost of
     a byte. Only the transmitter is modeled, driven by the instruction
-    stream; no instruction reads a receiver.
+    stream; no instruction reads a receiver. `tx_done` holds the cycle
+    in which each queued byte leaves if every cycle clocks the UART; the
+    machine moves them later for each cycle that does not, and drops a
+    byte as it leaves.
     """
 
-    def __init__(self, baud_divisor: int = 10):
-        if baud_divisor < 1:
-            raise ValueError("baud divisor must be at least 1")
-        self.baud_divisor = baud_divisor
+    def __init__(self):
         self.tx_queue: deque[int] = deque()
-        self.tx_busy_cycles = 0
+        self.tx_done: deque[int] = deque()
 
     @property
     def busy(self) -> bool:
         return bool(self.tx_queue)
 
-    def send(self, byte: int) -> None:
+    def send(self, byte: int, cycle: int) -> None:
+        """Queue `byte`, sent in `cycle`, behind the bytes still queued."""
         if len(self.tx_queue) >= FIFO_DEPTH:
             raise TxOverflowError(
                 f"transmit FIFO full ({FIFO_DEPTH} bytes pending)")
         self.tx_queue.append(byte & 0xFF)
-
-    def tick(self, cycles: int) -> tuple[int, list[tuple[int, int]]]:
-        """Advance `cycles` clocked cycles. Returns how many of them, from
-        the first, began with a byte queued, and (offset, byte) for each
-        byte that finished, offset counted from the first cycle."""
-        if cycles < 0:
-            raise ValueError("cycles must be >= 0")
-        queue = self.tx_queue
-        sent = []
-        spent = 0
-        while queue and spent < cycles:
-            if self.tx_busy_cycles == 0:
-                self.tx_busy_cycles = self.baud_divisor
-            step = min(cycles - spent, self.tx_busy_cycles)
-            self.tx_busy_cycles -= step
-            spent += step
-            if self.tx_busy_cycles == 0:
-                sent.append((spent - 1, queue.popleft()))
-        return spent, sent
+        done = self.tx_done
+        done.append((done[-1] if done else cycle) + BAUD_DIVISOR)
 
     def reset(self) -> None:
         self.tx_queue.clear()
-        self.tx_busy_cycles = 0
+        self.tx_done.clear()
 
 
 @dataclass

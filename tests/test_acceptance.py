@@ -47,7 +47,7 @@ def _arch_state(m):
         tuple(m.regs), m.pc, m.flags.z, m.flags.l, bytes(m.ram),
         m.peripherals.ports.port0_latch, m.peripherals.ports.port1_input,
         seg.segments, seg.last_digit,
-        tuple(uart.tx_queue), uart.tx_busy_cycles,
+        tuple(uart.tx_queue), tuple(c - m.cycles for c in uart.tx_done),
         m.halted, m.halt_reason, m.cycles,
     )
 
@@ -64,7 +64,8 @@ def _module_digests(m):
         "rom": hash(tuple(m.rom.words)),
         "port0": hash(ports.port0_latch),
         "port1": hash(ports.port1_input),
-        "uart": hash((tuple(uart.tx_queue), uart.tx_busy_cycles)),
+        "uart": hash((tuple(uart.tx_queue),
+                      tuple(c - m.cycles for c in uart.tx_done))),
         "sevenseg": hash((seg.segments, seg.last_digit)),
     }
 

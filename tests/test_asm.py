@@ -165,6 +165,12 @@ def test_rom_file_errors():
     with pytest.raises(RomFileError) as exc:
         parse_rom_file("0000\nXYZ0\n")
     assert exc.value.line == 2
+    assert str(exc.value) == "line 2: expected a 4-hex-digit word, got 'XYZ0'"
+    # int() would take these Arabic-Indic digits; the format does not.
+    with pytest.raises(RomFileError) as exc:
+        parse_rom_file("0000\n\u0660\u0660\u0660\u0660\n")
+    assert str(exc.value) == ("line 2: expected a 4-hex-digit word, "
+                              "got '\u0660\u0660\u0660\u0660'")
     with pytest.raises(RomFileError, match="expected 256 words"):
         parse_rom_file("0000\n" * 10)
     with pytest.raises(RomFileError):

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from mcusim.peripherals import (
+    BAUD_DIVISOR,
     FIFO_DEPTH,
     Peripherals,
     PortState,
@@ -66,79 +67,77 @@ def test_port1_is_level_sensitive():
 
 
 def test_uart_divisor_timing():
-    uart = Uart(baud_divisor=10)
-    uart.send(0x41)
-    assert uart.tick(9) == (9, [])
-    assert uart.tick(0) == (0, [])
-    assert uart.tick(1) == (1, [(0, 0x41)])
-    assert not uart.busy
-    assert uart.tick(5) == (0, [])
-
-
-def test_uart_tick_in_one_gulp():
-    uart = Uart(baud_divisor=10)
-    uart.send(0x41)
-    assert uart.tick(10) == (10, [(9, 0x41)])
-    uart.send(0x42)
-    # Busy for the byte's ten cycles only; the offset is from the first.
-    assert uart.tick(25) == (10, [(9, 0x42)])
+    # A byte sent to an empty queue leaves BAUD_DIVISOR cycles later.
+    uart = Uart()
+    uart.send(0x141, 3)
+    assert list(uart.tx_queue) == [0x41]
+    assert list(uart.tx_done) == [3 + BAUD_DIVISOR]
 
 
 def test_uart_drains_multiple_bytes():
-    uart = Uart(baud_divisor=4)
-    for b in (1, 2, 3):
-        uart.send(b)
-    assert uart.tick(8) == (8, [(3, 1), (7, 2)])
-    assert uart.tick(3) == (3, [])
-    assert uart.tick(1) == (1, [(0, 3)])
+    # Queued bytes leave back to back, BAUD_DIVISOR cycles apart.
+    uart = Uart()
+    for cycle, byte in ((5, 1), (7, 2), (9, 3)):
+        uart.send(byte, cycle)
+    assert list(uart.tx_queue) == [1, 2, 3]
+    assert list(uart.tx_done) == [5 + BAUD_DIVISOR * k for k in (1, 2, 3)]
 
 
 def test_uart_preserves_byte_order():
+    # Against a countdown clocked every cycle, dropping each byte in its
+    # leave cycle before that cycle's send, as the machine does.
     rng = random.Random(0xABCD)
-    uart = Uart(baud_divisor=3)
-    sent = []
-    received = []
-    for _ in range(200):
-        if rng.random() < 0.5 and len(uart.tx_queue) < FIFO_DEPTH:
+    uart = Uart()
+    queue, countdown = [], 0
+    expected, left = [], []
+    for cycle in range(3000):
+        if queue:
+            countdown = countdown or BAUD_DIVISOR
+            countdown -= 1
+            if not countdown:
+                expected.append((cycle, queue.pop(0)))
+        while uart.tx_done and uart.tx_done[0] <= cycle:
+            left.append((uart.tx_done.popleft(), uart.tx_queue.popleft()))
+        if rng.random() < (0.3 if cycle % 500 < 100 else 0.03):
             byte = rng.randrange(256)
-            uart.send(byte)
-            sent.append(byte)
-        received.extend(byte for _, byte in uart.tick(rng.randrange(6))[1])
-    received.extend(byte for _, byte in uart.tick(3 * FIFO_DEPTH)[1])
-    assert received == sent
+            queue.append(byte)
+            uart.send(byte, cycle)
+    assert left == expected
+    assert len(left) > 200
 
 
 def test_uart_tx_overflow_at_bound():
-    uart = Uart(baud_divisor=10)
+    uart = Uart()
     for i in range(FIFO_DEPTH):
-        uart.send(i)
+        uart.send(i, i)
     with pytest.raises(TxOverflowError):
-        uart.send(0)
+        uart.send(0, FIFO_DEPTH)
+    assert len(uart.tx_queue) == len(uart.tx_done) == FIFO_DEPTH
 
 
 def test_uart_busy_tracks_pending_bytes():
-    uart = Uart(baud_divisor=5)
+    uart = Uart()
     assert not uart.busy
-    uart.send(7)
+    uart.send(7, 0)
     assert uart.busy
-    uart.tick(4)
-    assert uart.busy
-    uart.tick(1)
+    uart.tx_queue.popleft()
+    uart.tx_done.popleft()
     assert not uart.busy
 
 
-def test_uart_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        Uart(baud_divisor=0)
-    with pytest.raises(ValueError):
-        Uart().tick(-1)
+def test_uart_reset_clears_both_queues():
+    uart = Uart()
+    uart.send(7, 0)
+    uart.send(8, 1)
+    uart.reset()
+    assert not uart.tx_queue and not uart.tx_done
 
 
 def test_peripherals_reset_keeps_external_input_level():
     periph = Peripherals()
     periph.ports.write_port0(0x11)
     periph.ports.inject_port1(0x22)
-    periph.uart.send(0x33)
+    periph.uart.send(0x33, 0)
     periph.sevenseg.show(4)
     periph.reset()
     assert periph.ports.port0_latch == 0
