@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import re
 import sys
 from functools import cache
 
@@ -37,6 +38,8 @@ TRACE_COLUMNS = ("cycle", "pc", "fsm_state", "opcode") + GATED_MODULES
 # I/O log rows formatted per write: their strings are about 80 bytes
 # each, so a chunk holds about 40 KB at once.
 _IO_CHUNK = 512
+# What `surrogateescape` decodes a byte that is not UTF-8 to.
+_ESCAPED = re.compile("[\udc80-\udcff]")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -112,9 +115,16 @@ def cmd_disasm(args) -> int:
 
 
 def _parse_injections(path: str) -> list[Injection]:
+    """The injections of an `--inject` script, read one line at a time.
+    A bad line, or a byte that is not UTF-8, raises ValueError naming
+    its line."""
     injections = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            bad = _ESCAPED.search(raw)
+            if bad:
+                raise ValueError(f"line {lineno}: byte "
+                                 f"0x{ord(bad[0]) - 0xDC00:02X} is not UTF-8")
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -135,27 +145,24 @@ def _parse_injections(path: str) -> list[Injection]:
 def _write_trace(path: str, machine: Machine) -> None:
     """One CSV row per cycle. The cycles of one log entry, a block run or
     a lone cycle, are written from row templates made once per distinct
-    entry: the text of each cycle class after a `%d` for its cycle."""
-    describe = machine.describe_class
+    entry from its rows: the text of each row after a `%d` for its
+    cycle."""
     templates: dict[int, list[tuple[str, int]]] = {}
     cycle = 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\r\n")
-        for key, codes in machine.class_spans():
-            pieces = templates.get(key)
+        for entry, span in machine.class_spans():
+            pieces = templates.get(entry)
             if pieces is None:
-                rows = []
-                for code in codes:
-                    pc, state, opcode, enables = describe(code)
-                    rows.append(",".join(
-                        ["%d", str(pc), state, opcode]
-                        + ["1" if m in enables else "0"
-                           for m in GATED_MODULES]) + "\r\n")
+                rows = [",".join(["%d", str(pc), state, opcode]
+                                 + ["1" if m in enables else "0"
+                                    for m in GATED_MODULES]) + "\r\n"
+                        for pc, state, opcode, enables in span]
                 # CPython 3.11 keeps each freed 20-item tuple on a free
                 # list that it never allocates from, up to 2,000 of them
                 # (400 KB), so a 20-cycle entry is formatted in two pieces.
                 cut = 19 if len(rows) == 20 else len(rows)
-                pieces = templates[key] = [
+                pieces = templates[entry] = [
                     ("".join(part), len(part))
                     for part in (rows[:cut], rows[cut:]) if part]
             for template, n in pieces:

@@ -30,13 +30,14 @@ the same ROM shares it.
 Each cycle has a cycle-class code: the pc, the controller state and
 whether the UART was busy. The opcode is a function of the pc and the
 clock enables a function of (state, opcode, busy, policy), so the code
-carries everything a trace row holds; `Machine.describe_class` turns a
-code back into a row. The log does not keep a code per cycle. A block
-run logs one entry, `cycles << 20 | held << 8 | pc`: its cycles
-alternate fetch and execute from pc, and the first `held` of them began
-with a UART byte queued. Only a cycle run alone (reset, idle, a fetch
-with one cycle left, or the execute half it leaves) logs its code,
-which is below 1 << 20. I/O events are logged as packed integers.
+carries everything a trace row holds. The log does not keep a code per
+cycle. A block run logs one entry, `cycles << 20 | held << 8 | pc`: its
+cycles alternate fetch and execute from pc, and the first `held` of
+them began with a UART byte queued. Only a cycle run alone (reset,
+idle, a fetch with one cycle left, or the execute half it leaves) logs
+its code, which is below 1 << 20. `Machine._rows` turns an entry into
+the trace rows of its cycles, once per entry; every reader of the log
+goes through it. I/O events are logged as packed integers.
 Gating is only the policy: running ungated is `GatingPolicy.ungated()`
 on this core.
 """
@@ -72,6 +73,8 @@ _BUSY = 1 << 11
 _CYCLES_SHIFT = 20
 _HELD_SHIFT = 8
 _HELD_MASK = 0xFFF
+# A trace row: (pc, fsm_state, opcode, enables).
+_Row = tuple[int, str, str, frozenset[str]]
 
 # (device, direction) of each I/O event kind. `Machine.io_log` holds an
 # event packed as cycle << 10 | kind << 8 | value.
@@ -96,16 +99,6 @@ class Flags:
         self.l = False
 
 
-@dataclass(frozen=True, slots=True)
-class IoEvent:
-    """One observable I/O action."""
-
-    cycle: int
-    device: str     # port0 | port1 | sevenseg | uart
-    direction: str  # out | in
-    value: int
-
-
 @dataclass(frozen=True)
 class CycleRecord:
     """One trace row: what state the cycle ran in and what was clocked."""
@@ -125,7 +118,7 @@ class StepOutcome:
     pc_before: int
     pc_after: int
     modules_active: frozenset[str]
-    io_events: tuple[IoEvent, ...]
+    io_events: tuple[int, ...]  # packed as in `Machine.io_log`
 
 
 @dataclass
@@ -323,10 +316,10 @@ class Machine:
     or lone cycle in the log and 8 bytes per I/O event, about 1.2 bytes
     per cycle on the benchmark's loop. A block run's entry is
     `cycles << 20 | held << 8 | pc` and a lone cycle's its cycle-class
-    code; `class_spans()` expands each entry into its codes. `records`
-    and `io_events` expand those logs on every access, at O(cycles)
-    cost; `activity()` folds the log into per-module enabled-cycle
-    counts once per distinct entry, without expanding it.
+    code; each distinct entry is described once, into the trace rows
+    of its cycles. `records` builds a row object per cycle on every
+    access, at O(cycles) cost; `activity()` folds the log into
+    per-module enabled-cycle counts once per distinct entry.
     """
 
     def __init__(self, rom: RomImage | None = None, *,
@@ -347,7 +340,7 @@ class Machine:
         self._wake = False
         self._pending: deque[Injection] = deque()  # a run's, by cycle
         self._log = array("I")  # one entry per block run or lone cycle
-        self._classes: dict[int, tuple[int, str, str, frozenset[str]]] = {}
+        self._described: dict[int, tuple[_Row, ...]] = {}  # see `_rows`
 
     @property
     def fsm(self) -> FsmState:
@@ -396,78 +389,58 @@ class Machine:
         (device, direction). Do not modify it."""
         return self._io_log
 
-    @property
-    def io_events(self) -> list[IoEvent]:
-        """Every I/O event so far, built anew on each access."""
-        return list(self._events_since(0))
-
-    def _events_since(self, start: int) -> tuple[IoEvent, ...]:
-        """The I/O events from the `start`-th on."""
-        return tuple(IoEvent(packed >> 10, *IO_KINDS[packed >> 8 & 3],
-                             packed & 0xFF)
-                     for packed in self._io_log[start:])
-
-    def class_spans(self) -> Iterator[tuple[int, tuple[int, ...]]]:
-        """(key, codes) for each entry of the cycle-class log, in cycle
-        order: the opaque cycle-class codes of the consecutive cycles one
-        block run or one lone cycle took; read them through
-        `describe_class`. Entries with equal keys have equal codes."""
-        codes = self._codes
+    def class_spans(self) -> Iterator[tuple[int, tuple[_Row, ...]]]:
+        """(entry, rows) for each entry of the log, in cycle order: the
+        (pc, fsm_state, opcode, enables) row of each cycle one block run
+        or one lone cycle took. Equal entries have equal rows."""
+        # The memo first: the writers ask once per log entry.
+        described, rows = self._described, self._rows
         for entry in self._log:
-            yield entry, codes(entry)
+            yield entry, described.get(entry) or rows(entry)
 
-    @staticmethod
-    @lru_cache(maxsize=4096)
-    def _codes(entry: int) -> tuple[int, ...]:
-        """The cycle-class codes of a log entry, memoised per entry for
-        every machine, since an entry alone gives them."""
-        if entry < 1 << _CYCLES_SHIFT:
-            return (entry,)  # a lone cycle's code
+    def _rows(self, entry: int) -> tuple[_Row, ...]:
+        """The trace row of each cycle a log entry took, in order.
+
+        Memoised per machine and entry, so the gating policy is read the
+        first time an entry is described. A block run's rows are those
+        of its cycles' codes, each described as a lone cycle's entry."""
+        rows = self._described.get(entry)
+        if rows is not None:
+            return rows
         pc = entry & PC_MASK
-        held = entry >> _HELD_SHIFT & _HELD_MASK
-        return tuple(
-            (pc + i // 2) & PC_MASK | (_FETCH + i % 2) << _STATE_SHIFT
-            | (_BUSY if i < held else 0)
-            for i in range(entry >> _CYCLES_SHIFT))
-
-    def describe_class(self, code: int) -> tuple[int, str, str,
-                                                 frozenset[str]]:
-        """(pc, fsm_state, opcode, enables) of a cycle-class code.
-
-        Memoised per code, so the gating policy is read the first time
-        a code is described."""
-        row = self._classes.get(code)
-        if row is None:
-            pc = code & PC_MASK
-            state = _STATES[(code >> _STATE_SHIFT) & 7]
-            entry = (self._code.table[pc]
-                     if state in (FsmState.FETCH, FsmState.EXECUTE) else None)
-            op = Op(entry[0]) if entry is not None else None
-            enables = self.policy.enables(state, op or Op.NOP)
-            if code & _BUSY and state is not FsmState.IDLE:
+        if entry >> _CYCLES_SHIFT:
+            held = entry >> _HELD_SHIFT & _HELD_MASK
+            rows = tuple(
+                self._rows((pc + i // 2) & PC_MASK
+                           | (_FETCH + i % 2) << _STATE_SHIFT
+                           | (_BUSY if i < held else 0))[0]
+                for i in range(entry >> _CYCLES_SHIFT))
+        else:
+            state = _STATES[entry >> _STATE_SHIFT & 7]
+            decoded = (self._code.table[pc]
+                       if state in (FsmState.FETCH, FsmState.EXECUTE)
+                       else None)
+            op = Op(decoded[0]) if decoded is not None else None
+            enables = self.policy.enables(state, Op.NOP if op is None else op)
+            if entry & _BUSY and state is not FsmState.IDLE:
                 enables = enables | {"uart"}
-            row = (pc, state.value, op.name if op is not None else "-",
-                   enables)
-            self._classes[code] = row
-        return row
+            rows = ((pc, state.value, "-" if op is None else op.name,
+                     enables),)
+        self._described[entry] = rows
+        return rows
 
     @property
     def records(self) -> list[CycleRecord]:
         """Every cycle's trace row, built anew on each access."""
-        describe = self.describe_class
-        codes = (code for _, span in self.class_spans() for code in span)
-        return [CycleRecord(cycle, *describe(code))
-                for cycle, code in enumerate(codes)]
+        rows = (row for _, span in self.class_spans() for row in span)
+        return [CycleRecord(cycle, *row) for cycle, row in enumerate(rows)]
 
     def activity(self) -> ActivityTrace:
         """Per-module enabled-cycle counts over every cycle run."""
-        histogram: Counter[int] = Counter()
-        for entry, count in Counter(self._log).items():
-            for code in self._codes(entry):
-                histogram[code] += count
         trace = ActivityTrace()
-        for code, count in histogram.items():
-            trace.add(self.describe_class(code)[3], count)
+        for entry, count in Counter(self._log).items():
+            for row in self._rows(entry):
+                trace.add(row[3], count)
         return trace
 
     # -- the core ------------------------------------------------------
@@ -485,8 +458,6 @@ class Machine:
         halted runs one more cycle and stops again.
         """
         cycle = self.cycles
-        if cycle >= stop:
-            return False
         if self.halted and halt_on_self_loop:
             stop = cycle + 1
         code = self._code
@@ -521,7 +492,7 @@ class Machine:
                     here = pc | state << _STATE_SHIFT
                     if done:
                         here |= _BUSY
-                        if "uart" not in self.describe_class(here)[3]:
+                        if "uart" not in self._rows(here)[0][3]:
                             # Gated idle stops the UART's clock.
                             for i in range(len(done)):
                                 done[i] += 1
@@ -568,8 +539,7 @@ class Machine:
     def tick(self) -> CycleRecord:
         """Advance exactly one clock cycle."""
         self._advance(self.cycles + 1, False)
-        code = self._codes(self._log[-1])[-1]
-        return CycleRecord(self.cycles - 1, *self.describe_class(code))
+        return CycleRecord(self.cycles - 1, *self._rows(self._log[-1])[-1])
 
     def step(self) -> StepOutcome:
         """Advance one instruction (first draining any reset cycles), or
@@ -578,16 +548,14 @@ class Machine:
             self.tick()
         events_before = len(self._io_log)
         pc_before = self.pc
-        if self._state == _IDLE:
-            row = self.tick()
-            return StepOutcome(None, pc_before, self.pc, row.enables,
-                               self._events_since(events_before))
-        self.tick()                  # fetch
-        row = self.tick()            # execute
-        op, rd, rs, imm = self._code.table[pc_before]
-        return StepOutcome(Instruction(Op(op), rd, rs, imm), pc_before,
-                           self.pc, row.enables,
-                           self._events_since(events_before))
+        executed = None
+        if self._state != _IDLE:
+            self.tick()              # fetch
+            op, rd, rs, imm = self._code.table[pc_before]
+            executed = Instruction(Op(op), rd, rs, imm)
+        row = self.tick()            # execute, or the idle cycle
+        return StepOutcome(executed, pc_before, self.pc, row.enables,
+                           tuple(self._io_log[events_before:]))
 
     def run(self, max_cycles: int, *, halt_on_self_loop: bool = True,
             injections: "list[Injection] | None" = None) -> RunResult:

@@ -10,7 +10,9 @@ written out longhand from the specification.
 per instruction, self-loop halts, the UART draining one byte per ten
 clocked cycles, port 1 injections, per-module enabled-cycle counts,
 gated or with every module clocked, and the host's reset, force-idle
-and interrupt lines between runs.
+and interrupt lines between runs. `trace_csv` and `io_log_csv` render
+its cycles and events as the bytes `mcusim run` writes to
+`--trace-out` and `--io-log`.
 """
 
 from collections import Counter
@@ -160,8 +162,10 @@ def execute_enables(mnemonic):
     return {"regfile"}  # MOVE, LOADI, ZERO and the register branches
 
 
-ALL_MODULES = {"regfile", "alu", "ram", "rom", "port0", "port1", "uart",
-               "sevenseg"}
+# The gated modules, in the order of the trace's columns.
+MODULES = ("regfile", "alu", "ram", "rom", "port0", "port1", "uart",
+           "sevenseg")
+ALL_MODULES = set(MODULES)
 
 
 class RefMachine(RefState):
@@ -170,7 +174,8 @@ class RefMachine(RefState):
     with `gated=False`, with every module clocked in every cycle.
 
     Beyond RefState it keeps: cycles, halted, state (the controller
-    state of the next cycle), states (one name per cycle run), events
+    state of the next cycle), rows (one (pc, state, mnemonic, modules)
+    per cycle run, the mnemonic `-` in reset and idle), events
     ((cycle, device, direction, value) in order), enabled (module ->
     enabled cycles) and emitted (how many of `uart_sent` have left).
     """
@@ -183,7 +188,7 @@ class RefMachine(RefState):
         self.halted = False
         self.state = "fetch"
         self.wake = False
-        self.states = []
+        self.rows = []
         self.events = []
         self.enabled = Counter()
         self.emitted = 0
@@ -226,7 +231,9 @@ class RefMachine(RefState):
             modules = ALL_MODULES
         elif busy and self.state != "idle":
             modules = modules | {"uart"}
-        self.states.append(self.state)
+        mnemonic = (self.rom.get(self.pc, ("NOP", 0, 0, 0))[0]
+                    if self.state in ("fetch", "execute") else "-")
+        self.rows.append((self.pc, self.state, mnemonic, modules))
         self.enabled.update(modules)
         if busy and "uart" in modules:
             self.uart_clocked += 1
@@ -296,3 +303,22 @@ class RefMachine(RefState):
         self.pc = (here + 1) & 0xFF
         return False
 
+
+def trace_csv(rows):
+    """The `--trace-out` text of `RefMachine.rows`: a header, then one
+    line per cycle, each ended by CRLF."""
+    lines = [",".join(("cycle", "pc", "fsm_state", "opcode") + MODULES)]
+    for cycle, (pc, state, mnemonic, modules) in enumerate(rows):
+        lines.append(",".join([str(cycle), str(pc), state, mnemonic]
+                              + ["1" if m in modules else "0"
+                                 for m in MODULES]))
+    return "".join(line + "\r\n" for line in lines)
+
+
+def io_log_csv(events):
+    """The `--io-log` text of `RefMachine.events`: a header, then one
+    line per event with its value in hex, each ended by CRLF."""
+    lines = ["cycle,device,direction,value"] + [
+        f"{cycle},{device},{direction},0x{value:02X}"
+        for cycle, device, direction, value in events]
+    return "".join(line + "\r\n" for line in lines)

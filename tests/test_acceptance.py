@@ -20,7 +20,7 @@ from mcusim.reference import run_benchmark
 
 import oracle
 from test_control import machine_in, states_after
-from test_machine import encode_tuple, random_linear_program
+from test_machine import encode_tuple, io_events, random_linear_program
 
 
 def _verdict(name, ok, detail):
@@ -178,7 +178,7 @@ def test_acceptance_5_gating_is_functionally_transparent():
             m = Machine(rom, policy=policy)
             m.inject_port1(port1)
             m.run(300)
-            finals.append((_arch_state(m), tuple(m.io_events)))
+            finals.append((_arch_state(m), tuple(io_events(m))))
         assert finals[0] == finals[1], f"diverged on trial {trial}"
     elapsed = time.perf_counter() - t0
 
@@ -210,7 +210,7 @@ def test_acceptance_6_matches_reference_interpreter():
             assert m.ram[addr] == expected.ram.get(addr, 0)
         assert m.peripherals.ports.port0_latch == expected.port0
         assert m.peripherals.sevenseg.last_digit == expected.sevenseg_digit
-        sent = [e.value for e in m.io_events if e.device == "uart"]
+        sent = [e.value for e in io_events(m) if e.device == "uart"]
         sent += list(m.peripherals.uart.tx_queue)
         assert sent == expected.uart_sent
     elapsed = time.perf_counter() - t0

@@ -121,6 +121,20 @@ def test_arity_errors_name_the_operand_count(source, message):
     assert str(exc.value) == f"line 1: {message}"
 
 
+@pytest.mark.parametrize("source,error,message", [
+    ("LOADI R1, R2\n", AsmSyntaxError, "line 1: bad operand 'R2'"),
+    (".word 1, 2\n", AsmSyntaxError, "line 1: .word takes one value"),
+    (".org 0xFF\nNOP\nend:\n", ProgramTooLargeError,
+     "line 3: label 'end' falls outside the 256-word ROM"),
+    (".org start\n", AsmSyntaxError,
+     "line 1: .org takes one numeric address"),
+])
+def test_directive_and_operand_errors_name_the_line(source, error, message):
+    with pytest.raises(error) as exc:
+        assemble(source)
+    assert str(exc.value) == message
+
+
 def test_errors_carry_the_source_line():
     with pytest.raises(UnknownMnemonicError) as exc:
         assemble("NOP\nNOP\nFROB\n")

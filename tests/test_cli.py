@@ -58,6 +58,13 @@ def test_asm_missing_input_file(tmp_path):
                    str(tmp_path / "x.rom")) == 1
 
 
+def test_asm_into_a_directory_exits_1(tmp_path, capsys):
+    src = tmp_path / "p.asm"
+    src.write_text("NOP\n")
+    assert run_cli("asm", str(src), str(tmp_path)) == 1
+    assert capsys.readouterr().err.startswith("mcusim: error: ")
+
+
 def test_disasm_roundtrip(tmp_path, capsys):
     src = tmp_path / "p.asm"
     src.write_text("LOADI R3, 0xFF\nloop: BI loop\n")
@@ -176,6 +183,30 @@ def test_bad_injection_script_exits_1(bench_rom, tmp_path, capsys):
     assert run_cli("run", "--rom", str(bench_rom),
                    "--inject", str(script)) == 1
     assert "line 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("script,message", [
+    (b"5 port1 0x5A\n6 port1 \xff\n", "line 2: byte 0xFF is not UTF-8"),
+    # CR-only line ends count as line ends.
+    (b"5 port1 0x5A\r6 port1 zz\r",
+     "line 2: invalid literal for int() with base 16: 'zz'"),
+    (b"5 port1\n", "line 1: expected '<cycle> <kind> <hex>', got '5 port1'"),
+])
+def test_injection_script_errors_name_the_line(bench_rom, tmp_path, capsys,
+                                               script, message):
+    path = tmp_path / "inject.txt"
+    path.write_bytes(script)
+    assert run_cli("run", "--rom", str(bench_rom),
+                   "--inject", str(path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"mcusim: error: {path}: {message}\n"
+
+
+def test_missing_injection_script_exits_1(bench_rom, tmp_path, capsys):
+    assert run_cli("run", "--rom", str(bench_rom),
+                   "--inject", str(tmp_path / "none.txt")) == 1
+    assert "none.txt" in capsys.readouterr().err
 
 
 def test_uart_rx_injections_are_rejected(bench_rom, tmp_path, capsys):

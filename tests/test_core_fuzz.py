@@ -5,10 +5,11 @@ branches, random port 1 injections, a cycle budget that may end
 between a fetch and its execute, host reset, force-idle and interrupt
 calls between runs, and the gating policy. The simulator and
 `oracle.RefMachine` must agree on the architectural state, the I/O log
-with its cycle numbers, the per-module enabled-cycle counts and the
-controller state of every cycle. The same run cut into several `run`
-calls must write the same trace and I/O log and fold to the same
-activity. The derandomised search keeps tier-1 runs repeatable.
+with its cycle numbers, the per-module enabled-cycle counts, the
+controller state of every cycle, and every byte the trace and I/O log
+writers write. The same run cut into several `run` calls must write
+those same bytes and fold to the same activity. The derandomised
+search keeps tier-1 runs repeatable.
 Hand-written cases then pin the edges of block translation: code that
 wraps from 0xFF to 0x00, a block closed by a branch to itself, each
 conditional branch taken and not taken to itself, budgets and
@@ -33,7 +34,7 @@ from mcusim import machine as machine_module
 from mcusim.machine import Injection, Machine, _translate
 
 import oracle
-from test_machine import encode_tuple
+from test_machine import encode_tuple, io_events
 
 MNEMONICS = [op.name for op in Op]
 IO = ["PORT0", "PORT1", "B7S", "UARTS"]
@@ -81,7 +82,7 @@ def cases(draw):
 
 def arch_state(m):
     return (list(m.regs), m.pc, m.flags.z, m.flags.l, bytes(m.ram),
-            m.cycles, m.halted, list(m.io_events), list(m.records))
+            m.cycles, m.halted, io_events(m), list(m.records))
 
 
 def drive(m, budget, injections=(), host=(), halt=True):
@@ -136,8 +137,7 @@ def check_against_oracle(program, budget, injections=(), reset=False,
     assert (list(m.peripherals.uart.tx_queue)
             == expected.uart_sent[expected.emitted:])
     assert m.peripherals.ports.port1_input == expected.port1_input
-    assert [(e.cycle, e.device, e.direction, e.value)
-            for e in m.io_events] == expected.events
+    assert io_events(m) == expected.events
 
     activity = m.activity()
     assert activity.total_cycles == expected.cycles
@@ -145,7 +145,9 @@ def check_against_oracle(program, budget, injections=(), reset=False,
         module: expected.enabled[module] / expected.cycles
         for module in GATED_MODULES}
 
-    assert [r.fsm_state for r in m.records] == expected.states
+    assert ([r.fsm_state for r in m.records]
+            == [state for _, state, _, _ in expected.rows])
+    assert outputs(m)[0] == oracle_outputs(expected)
 
     # tick() drives the same core one cycle at a time.
     ticked = Machine(m.rom, policy=m.policy)
@@ -178,34 +180,27 @@ def outputs(m):
     return written, activity.total_cycles, activity.duties()
 
 
-def rows_written(m):
-    """The trace CSV and I/O log bytes, written row by row from
-    `records` and `io_events`."""
-    trace = [",".join(cli.TRACE_COLUMNS)] + [
-        ",".join([str(r.cycle), str(r.pc), r.fsm_state, r.opcode]
-                 + ["1" if module in r.enables else "0"
-                    for module in GATED_MODULES])
-        for r in m.records]
-    io_log = ["cycle,device,direction,value"] + [
-        f"{e.cycle},{e.device},{e.direction},0x{e.value:02X}"
-        for e in m.io_events]
-    return tuple("".join(row + "\r\n" for row in rows).encode()
-                 for rows in (trace, io_log))
+def oracle_outputs(expected):
+    """The trace CSV and I/O log bytes the oracle renders for its run."""
+    return (oracle.trace_csv(expected.rows).encode(),
+            oracle.io_log_csv(expected.events).encode())
 
 
 def check_split_run(program, budget, injections, cuts, gated=True):
     """One run to `budget` and the same run stopped at each cycle of
     `cuts`, where a block that does not fit runs its fitting prefix,
-    must give the same outputs, and those of the one run must be its
-    rows."""
+    must give the same outputs, and those of the one run must be the
+    oracle's bytes."""
     whole, split = machine_for(program, gated), machine_for(program, gated)
+    expected = oracle.RefMachine(program, gated)
+    drive(expected, budget, injections, halt=False)
     drive(whole, budget, injections, halt=False)
     drive(split, budget, injections, [(cut, None) for cut in cuts],
           halt=False)
     assert split.cycles == whole.cycles == budget
     written = outputs(whole)
     assert outputs(split) == written
-    assert written[0] == rows_written(whole)
+    assert written[0] == oracle_outputs(expected)
 
 
 @settings(derandomize=True, max_examples=120, deadline=None,
@@ -385,7 +380,7 @@ def test_uart_drain_across_idle_interrupt_and_reset(gated):
             (31, "force_idle"), (34, "interrupt"), (37, "reset")]
     m = check_against_oracle(UART_LOOP, 120, host=host, gated=gated,
                              halt=False)
-    sent = [e.cycle for e in m.io_events if e.device == "uart"]
+    sent = [e.cycle for e in io_events(m) if e.device == "uart"]
     assert sent == ([17, 52, 62] if gated else [13, 35, 52, 62])
     rows = m.records
     assert [r.fsm_state for r in rows[6:11]] == ["idle"] * 4 + ["fetch"]
@@ -417,7 +412,7 @@ def test_twenty_cycle_block_writes_its_rows(gated):
     # The trace writer formats a 20-cycle entry in two pieces; the first
     # run of the block holds the UART byte for its first 9 cycles.
     m = check_against_oracle(TWENTY_LOOP, 200, gated=gated, halt=False)
-    assert 20 in {len(codes) for _, codes in m.class_spans()}
+    assert 20 in {len(rows) for _, rows in m.class_spans()}
     check_split_run(TWENTY_LOOP, 200, (), [3, 13, 24, 45], gated)
 
 

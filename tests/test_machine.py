@@ -1,7 +1,7 @@
 """Execution semantics, cycle accounting, reset/idle, tracing."""
 
-import dataclasses
 import random
+from collections import namedtuple
 
 import pytest
 
@@ -16,7 +16,7 @@ from mcusim.isa import (
     RomImage,
     encode,
 )
-from mcusim.machine import (CycleRecord, Flags, Injection, IoEvent, Machine,
+from mcusim.machine import (IO_KINDS, CycleRecord, Flags, Injection, Machine,
                             RAM_WORDS)
 from mcusim.peripherals import TxOverflowError
 from mcusim.reference import benchmark_rom
@@ -233,7 +233,7 @@ def test_pc_wraps_mod_256():
 def test_port0_latches_low_byte():
     m = run_source("LOADI R1, 0xAA\nPORT0 R1\ndone: BI done\n")
     assert m.peripherals.ports.port0_latch == 0xAA
-    events = [e for e in m.io_events if e.device == "port0"]
+    events = [e for e in io_events(m) if e.device == "port0"]
     assert len(events) == 1
     assert events[0].direction == "out"
     assert events[0].value == 0xAA
@@ -245,7 +245,7 @@ def test_port1_reads_injected_level():
     m.run(1000)
     assert m.regs[2] == 0x5C
     assert m.regs[3] == 0x5C  # level-sensitive: second read sees it too
-    events = [e for e in m.io_events if e.device == "port1"]
+    events = [e for e in io_events(m) if e.device == "port1"]
     assert [e.value for e in events] == [0x5C, 0x5C]
 
 
@@ -253,7 +253,7 @@ def test_b7s_drives_display_from_low_nibble():
     m = run_source("LOADI R1, 0x18\nB7S R1\ndone: BI done\n")
     assert m.peripherals.sevenseg.last_digit == 8
     assert m.peripherals.sevenseg.segments == 0b1111111
-    events = [e for e in m.io_events if e.device == "sevenseg"]
+    events = [e for e in io_events(m) if e.device == "sevenseg"]
     assert events[0].value == 0b1111111
 
 
@@ -261,7 +261,7 @@ def test_uarts_sends_low_byte_and_drains():
     # The spin loop keeps the clock running while the byte drains.
     m = machine_for("LOADI R1, 0x41\nUARTS R1\ndone: BI done\n")
     m.run(60, halt_on_self_loop=False)
-    events = [e for e in m.io_events if e.device == "uart"]
+    events = [e for e in io_events(m) if e.device == "uart"]
     assert [e.value for e in events] == [0x41]
 
 
@@ -270,7 +270,7 @@ def test_uart_drain_timing_via_busy_hold():
     # cycles, which busy-hold supplies back to back across the spin.
     m = machine_for("LOADI R1, 0x41\nUARTS R1\ndone: BI done\n")
     m.run(40, halt_on_self_loop=False)
-    event = next(e for e in m.io_events if e.device == "uart")
+    event = next(e for e in io_events(m) if e.device == "uart")
     assert event.cycle == 13
     uart_rows = [r.cycle for r in m.records if "uart" in r.enables]
     assert uart_rows == list(range(3, 14))
@@ -279,7 +279,7 @@ def test_uart_drain_timing_via_busy_hold():
 def test_halting_mid_drain_leaves_the_byte_queued():
     m = machine_for("LOADI R1, 0x41\nUARTS R1\ndone: BI done\n")
     m.run(1000)  # self-loop halt fires before the drain completes
-    assert [e for e in m.io_events if e.device == "uart"] == []
+    assert [e for e in io_events(m) if e.device == "uart"] == []
     assert list(m.peripherals.uart.tx_queue) == [0x41]
 
 
@@ -293,7 +293,7 @@ def test_uart_overflow_leaves_the_uarts_unretired():
     assert (m.pc, m.fsm, m.cycles) == (2, FsmState.EXECUTE, 3834)
     assert m.regs[:3] == [0, 0x41, 0xFD81]
     assert m.flags == Flags(z=False, l=False)
-    assert len(m.io_events) == 382
+    assert len(m.io_log) == 382
     assert len(m.peripherals.uart.tx_queue) == 256
     assert m.peripherals.uart.tx_done[0] == 3835
     assert m.records[-1] == CycleRecord(3833, 2, "execute", "UARTS",
@@ -316,7 +316,7 @@ def test_machines_sharing_a_rom_keep_their_own_gating():
 
     def observed(m):
         activity = m.activity()
-        return activity.total_cycles, activity.duties(), m.io_events
+        return activity.total_cycles, activity.duties(), io_events(m)
 
     interleaved = [ungated(), overridden()]
     for stop in range(37, 500, 37):
@@ -327,13 +327,6 @@ def test_machines_sharing_a_rom_keep_their_own_gating():
         fresh.run(interleaved[0].cycles, halt_on_self_loop=False)
         assert observed(m) == observed(fresh)
     assert observed(interleaved[0]) != observed(interleaved[1])
-
-
-def test_io_events_are_frozen_and_slotted():
-    event = IoEvent(3, "port0", "out", 0xAA)
-    assert not hasattr(event, "__dict__")
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        event.value = 0
 
 
 def test_illegal_opcode_halts_with_context():
@@ -412,7 +405,7 @@ def test_idle_freezes_the_uart_drain_only_when_gated():
         m.force_idle()
         for _ in range(12):
             m.tick()
-        sent = [e.value for e in m.io_events if e.device == "uart"]
+        sent = [e.value for e in io_events(m) if e.device == "uart"]
         assert sent == ([0x41] if drained else [])
         assert list(m.peripherals.uart.tx_queue) == ([] if drained
                                                     else [0x41])
@@ -453,6 +446,24 @@ def test_step_outcome_fields():
     assert outcome.io_events == ()
 
 
+def test_step_outcome_events_are_packed_as_in_the_io_log():
+    m = machine_for("LOADI R3, 9\nPORT0 R3\n")
+    m.step()
+    outcome = m.step()
+    # PORT0's execute cycle is cycle 3; port0 is kind 0.
+    assert outcome.io_events == (3 << 10 | 0x09,) == tuple(m.io_log)
+
+
+def test_step_after_reset_runs_both_reset_cycles_first():
+    m = machine_for("LOADI R3, 9\n")
+    m.reset()
+    outcome = m.step()
+    assert m.cycles == 4
+    assert outcome.executed == Instruction(Op.LOADI, rd=3, operand8=9)
+    assert [r.fsm_state for r in m.records] == ["reset1", "reset2",
+                                               "fetch", "execute"]
+
+
 def test_determinism():
     source = (
         "LOADI R1, 0x2A\nUARTS R1\nPORT0 R1\nB7S R1\n"
@@ -462,7 +473,7 @@ def test_determinism():
         m = machine_for(source)
         m.regs[2] = 4
         m.run(500)
-        return m.records, m.io_events, m.regs, bytes(m.ram)
+        return m.records, io_events(m), m.regs, bytes(m.ram)
     assert run_once() == run_once()
 
 
@@ -555,6 +566,15 @@ def random_linear_program(rng, length=50):
     return program
 
 
+Event = namedtuple("Event", "cycle device direction value")
+
+
+def io_events(m):
+    """`m.io_log`'s events, each decoded through `IO_KINDS`."""
+    return [Event(packed >> 10, *IO_KINDS[packed >> 8 & 3], packed & 0xFF)
+            for packed in m.io_log]
+
+
 def encode_tuple(mnemonic, rd, rs, imm):
     op = Op[mnemonic]
     fmt = FORMATS[op]
@@ -586,7 +606,7 @@ def test_random_linear_programs_match_the_reference_interpreter():
             assert m.ram[addr] == expected.ram.get(addr, 0)
         assert m.peripherals.ports.port0_latch == expected.port0
         assert m.peripherals.sevenseg.last_digit == expected.sevenseg_digit
-        sent = [e.value for e in m.io_events if e.device == "uart"]
+        sent = [e.value for e in io_events(m) if e.device == "uart"]
         sent += list(m.peripherals.uart.tx_queue)
         assert sent == expected.uart_sent
 

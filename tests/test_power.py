@@ -159,6 +159,9 @@ def test_calibration_infeasible_cases():
     busy = trace_from([set(GATED_MODULES)] * 9 + [set()])
     with pytest.raises(InfeasibleTargetsError):
         calibrate(busy, ungated_mw=100.0, gated_mw=50.0)
+    with pytest.raises(InfeasibleTargetsError,
+                       match="^targets must be positive$"):
+        calibrate(mixed_trace(), ungated_mw=0)
     with pytest.raises(EmptyTraceError):
         calibrate(ActivityTrace())
 
