@@ -143,10 +143,9 @@ def _parse_injections(path: str) -> list[Injection]:
 
 
 def _write_trace(path: str, machine: Machine) -> None:
-    """One CSV row per cycle. The cycles of one log entry, a block run or
-    a lone cycle, are written from row templates made once per distinct
-    entry from its rows: the text of each row after a `%d` for its
-    cycle."""
+    """One CSV row per cycle. The cycles of one log entry, a span, are
+    written from row templates made once per distinct entry from its
+    rows: the text of each row after a `%d` for its cycle."""
     templates: dict[int, list[tuple[str, int]]] = {}
     cycle = 0
     with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -7,15 +7,13 @@ cycle of its own. After `reset()` the two reset states each consume a
 cycle before the first fetch.
 
 The UART transmitter needs its clock while a byte is draining, so its
-enable is held high during those cycles regardless of what the current
-instruction is doing, except in idle mode, where the policy's idle row
-alone decides. The UART advances on exactly the cycles whose enables
-include it, so its bytes leave back to back, `BAUD_DIVISOR` clocked
-cycles apart, and `UARTS` knows the cycle each byte leaves when it
-queues it. The core logs and drops a byte once it runs that cycle, and
-before any other event of the cycle. Gated, idle stops every module
-clock and moves each queued byte's leave cycle one later; ungated, the
-drain goes on.
+enable is held high in those cycles whatever the instruction does,
+except in idle, where the policy's idle row alone decides. Bytes leave
+back to back, `BAUD_DIVISOR` clocked cycles apart, so `UARTS` knows the
+cycle each byte leaves when it queues it; the core logs and drops a
+byte once it runs that cycle, before any other event of the cycle.
+Gated, idle stops every module clock and moves each queued byte's leave
+cycle one later per idle cycle; ungated, the drain goes on.
 
 The ROM is read-only once a `Machine` is built, so the core translates
 it, block by block, into Python. The first time the core fetches from a
@@ -27,17 +25,16 @@ the budget runs as its fitting prefix, translated once per length. A
 translation depends on the ROM words alone, so every machine built on
 the same ROM shares it.
 
-Each cycle has a cycle-class code: the pc, the controller state and
-whether the UART was busy. The opcode is a function of the pc and the
-clock enables a function of (state, opcode, busy, policy), so the code
-carries everything a trace row holds. The log does not keep a code per
-cycle. A block run logs one entry, `cycles << 20 | held << 8 | pc`: its
-cycles alternate fetch and execute from pc, and the first `held` of
-them began with a UART byte queued. Only a cycle run alone (reset,
-idle, a fetch with one cycle left, or the execute half it leaves) logs
-its code, which is below 1 << 20. `Machine._rows` turns an entry into
-the trace rows of its cycles, once per entry; every reader of the log
-goes through it. I/O events are logged as packed integers.
+The core advances by spans, each logged as one entry `cycles << 21 |
+state << 18 | held << 8 | pc`: `cycles` cycles from `state` at pc, the
+first `held` of them begun with a UART byte queued. A span is a reset
+or idle cycle, a fetch with no room for its execute half, or a block
+run, which starts at the execute half if its fetch has run; a block's
+cycles alternate fetch and execute, pc going up after each execute. As
+the enables are a function of (state, opcode, busy, policy) and the
+opcode of the pc, an entry carries all its trace rows hold;
+`Machine._rows` turns it into them, once per entry, and every reader of
+the log goes through it. I/O events are logged as packed integers.
 Gating is only the policy: running ungated is `GatingPolicy.ungated()`
 on this core.
 """
@@ -60,19 +57,21 @@ from .power import ActivityTrace
 RAM_WORDS = 1024
 PC_MASK = 0xFF
 
-# Controller states as the core numbers them; `_STATES` maps them back.
-_RESET1, _RESET2, _FETCH, _EXECUTE, _IDLE = range(5)
-_STATES = tuple(FsmState)
-
-# Cycle-class code: pc | state << 8 | uart_busy << 11.
-_STATE_SHIFT = 8
-_BUSY = 1 << 11
-# A log entry is either the cycle-class code of one cycle run alone, or
-# cycles << 20 | held << 8 | pc for one block run from pc, of whose
-# cycles the first `held` began with a UART byte queued.
-_CYCLES_SHIFT = 20
+# Controller states as the core numbers them; `_STATES` maps them back
+# and `_NEXT` gives the state after each, pc going up after an execute.
+_FETCH, _EXECUTE, _RESET1, _RESET2, _IDLE = range(5)
+_STATES = (FsmState.FETCH, FsmState.EXECUTE, FsmState.RESET1,
+           FsmState.RESET2, FsmState.IDLE)
+_NEXT = (_EXECUTE, _FETCH, _RESET2, _FETCH, _IDLE)
+# Cycles `step()` runs from each state: through an execute, or one idle.
+_STEP_CYCLES = (2, 1, 4, 3, 1)
+# A log entry is a span, cycles << 21 | state << 18 | held << 8 | pc:
+# `cycles` cycles from `state` at pc, of which the first `held` began
+# with a UART byte queued; 0 in idle, whose rows do not depend on it.
+_CYCLES_SHIFT = 21
+_STATE_SHIFT = 18
 _HELD_SHIFT = 8
-_HELD_MASK = 0xFFF
+_HELD_MASK = 0x3FF
 # A trace row: (pc, fsm_state, opcode, enables).
 _Row = tuple[int, str, str, frozenset[str]]
 
@@ -285,7 +284,7 @@ class _Translation:
         """The longest block from `pc` that takes at most `room` cycles,
         kept once translated, or None if no instruction fits."""
         if room < 2 and self.table[pc] is not None:
-            return None  # a lone fetch: no instruction fits
+            return None  # a fetch alone: no instruction fits
         block = self.blocks[pc]
         if block and block[1] <= room:
             return block
@@ -312,14 +311,13 @@ class Machine:
     as Python blocks translated the first time it reaches them, once
     per ROM content and process, so machines on equal ROMs share them.
     The gating policy is not part of the translation; without gating,
-    pass `GatingPolicy.ungated()`. Memory grows by 4 bytes per block run
-    or lone cycle in the log and 8 bytes per I/O event, about 1.2 bytes
-    per cycle on the benchmark's loop. A block run's entry is
-    `cycles << 20 | held << 8 | pc` and a lone cycle's its cycle-class
-    code; each distinct entry is described once, into the trace rows
-    of its cycles. `records` builds a row object per cycle on every
-    access, at O(cycles) cost; `activity()` folds the log into
-    per-module enabled-cycle counts once per distinct entry.
+    pass `GatingPolicy.ungated()`. Memory grows by 4 bytes per span in
+    the log and 8 bytes per I/O event: about 1.2 bytes per cycle on the
+    benchmark's loop, 4 bytes per idle cycle. Each distinct entry is
+    described once, into the trace rows of its cycles. `records` builds
+    a row object per cycle on every access, at O(cycles) cost;
+    `activity()` folds the log into per-module enabled-cycle counts once
+    per distinct entry.
     """
 
     def __init__(self, rom: RomImage | None = None, *,
@@ -339,7 +337,7 @@ class Machine:
         self._state = _FETCH
         self._wake = False
         self._pending: deque[Injection] = deque()  # a run's, by cycle
-        self._log = array("I")  # one entry per block run or lone cycle
+        self._log = array("I")  # one entry per span
         self._described: dict[int, tuple[_Row, ...]] = {}  # see `_rows`
 
     @property
@@ -391,8 +389,8 @@ class Machine:
 
     def class_spans(self) -> Iterator[tuple[int, tuple[_Row, ...]]]:
         """(entry, rows) for each entry of the log, in cycle order: the
-        (pc, fsm_state, opcode, enables) row of each cycle one block run
-        or one lone cycle took. Equal entries have equal rows."""
+        (pc, fsm_state, opcode, enables) row of each cycle of one span.
+        Equal entries have equal rows."""
         # The memo first: the writers ask once per log entry.
         described, rows = self._described, self._rows
         for entry in self._log:
@@ -402,30 +400,33 @@ class Machine:
         """The trace row of each cycle a log entry took, in order.
 
         Memoised per machine and entry, so the gating policy is read the
-        first time an entry is described. A block run's rows are those
-        of its cycles' codes, each described as a lone cycle's entry."""
+        first time an entry is described. A block run walks its cycles
+        through fetch <-> execute and takes each cycle's row from the
+        one-cycle span of that cycle, so equal rows are one tuple."""
         rows = self._described.get(entry)
         if rows is not None:
             return rows
+        state = entry >> _STATE_SHIFT & 7
+        held = entry >> _HELD_SHIFT & _HELD_MASK
         pc = entry & PC_MASK
-        if entry >> _CYCLES_SHIFT:
-            held = entry >> _HELD_SHIFT & _HELD_MASK
-            rows = tuple(
-                self._rows((pc + i // 2) & PC_MASK
-                           | (_FETCH + i % 2) << _STATE_SHIFT
-                           | (_BUSY if i < held else 0))[0]
-                for i in range(entry >> _CYCLES_SHIFT))
-        else:
-            state = _STATES[entry >> _STATE_SHIFT & 7]
-            decoded = (self._code.table[pc]
-                       if state in (FsmState.FETCH, FsmState.EXECUTE)
-                       else None)
-            op = Op(decoded[0]) if decoded is not None else None
-            enables = self.policy.enables(state, Op.NOP if op is None else op)
-            if entry & _BUSY and state is not FsmState.IDLE:
+        if entry >> _CYCLES_SHIFT == 1:
+            decoded = self._code.table[pc] if state <= _EXECUTE else None
+            op = None if decoded is None else Op(decoded[0])
+            fsm = _STATES[state]
+            enables = self.policy.enables(fsm, Op.NOP if op is None else op)
+            if held and state != _IDLE:
                 enables = enables | {"uart"}
-            rows = ((pc, state.value, "-" if op is None else op.name,
+            rows = ((pc, fsm.value, "-" if op is None else op.name,
                      enables),)
+        else:
+            cells: list[_Row] = []
+            for i in range(entry >> _CYCLES_SHIFT):
+                cells += self._rows(1 << _CYCLES_SHIFT | state << _STATE_SHIFT
+                                    | (i < held) << _HELD_SHIFT | pc)
+                if state == _EXECUTE:
+                    pc = (pc + 1) & PC_MASK
+                state = _NEXT[state]
+            rows = tuple(cells)
         self._described[entry] = rows
         return rows
 
@@ -450,66 +451,57 @@ class Machine:
         halts in a self-loop (when `halt_on_self_loop`), or a fault
         raises. Returns True when it stopped on such a halt.
 
-        From the fetch state the longest block that ends by `stop` runs
-        in one step and logs one entry. With one cycle left the fetch
-        takes a cycle of its own, like each reset and idle cycle, and the
-        instruction's execute half runs next; each of these cycles logs
-        its code. With `halt_on_self_loop`, a machine that has already
-        halted runs one more cycle and stops again.
+        Each step runs one span and logs one entry: a reset or idle
+        cycle, a fetch with no room for its execute half, or the longest
+        block that ends by `stop`. With
+        `halt_on_self_loop`, a machine that has already halted runs one
+        more cycle and stops again.
         """
-        cycle = self.cycles
+        cycle, pc, state = self.cycles, self.pc, self._state
         if self.halted and halt_on_self_loop:
             stop = cycle + 1
-        code = self._code
-        blocks = code.blocks
-        regs = self.regs
-        ram = self.ram
-        flags = self.flags
-        z, l = flags.z, flags.l
-        pc = self.pc
-        state = self._state
-        emit = self._log.append
+        code, regs, ram, flags = self._code, self.regs, self.ram, self.flags
+        blocks, z, l = code.blocks, flags.z, flags.l
+        emit, leave = self._log.append, self._uart_leave
         done = self.peripherals.uart.tx_done
-        leave = self._uart_leave
         try:
             while cycle < stop:
                 block = blocks[pc] if state == _FETCH else None
                 if block is None or cycle + block[1] > stop:
-                    block = (code.block(pc, stop - cycle)
-                             if state == _FETCH else None)
-                if block:
-                    run, n, loop_pc, _ = block
-                    entry = n << _CYCLES_SHIFT | pc
-                    if done:
-                        entry |= min(done[-1] - cycle + 1, n) << _HELD_SHIFT
-                        if done[0] < cycle + n:
-                            leave(cycle + n)
-                    emit(entry)
-                    cycle += n
-                else:
-                    # Reset, idle, a fetch with one cycle left, or the
-                    # execute half of the instruction it fetched.
-                    here = pc | state << _STATE_SHIFT
-                    if done:
-                        here |= _BUSY
-                        if "uart" not in self._rows(here)[0][3]:
-                            # Gated idle stops the UART's clock.
+                    # At execute (1), the room includes the fetch half run.
+                    block = (code.block(pc, stop - cycle + state)
+                             if state <= _EXECUTE else None)
+                if not block:
+                    # A reset or idle cycle, or a fetch with no room for
+                    # its execute half.
+                    entry = 1 << _CYCLES_SHIFT | state << _STATE_SHIFT | pc
+                    if state == _IDLE:
+                        if done and "uart" in self._rows(entry)[0][3]:
+                            leave(cycle + 1)
+                        elif done:  # gated idle stops the UART's clock
                             for i in range(len(done)):
                                 done[i] += 1
-                        elif done[0] == cycle:
-                            leave(cycle + 1)
-                    emit(here)
-                    cycle += 1
-                    if state == _IDLE:
-                        if self._wake:
-                            state = _FETCH
+                        state = _FETCH if self._wake else _IDLE
                         self._wake = False
-                        continue
-                    if state != _EXECUTE:
-                        state += 1  # reset1 -> reset2 -> fetch -> execute
-                        continue
-                    run, _, loop_pc, _ = code.block(pc, 2)
-                    state = _FETCH
+                    else:  # a fetch, or reset: reset() empties the UART
+                        if done:
+                            entry |= 1 << _HELD_SHIFT
+                            leave(cycle + 1)
+                        state = _NEXT[state]
+                    emit(entry)
+                    cycle += 1
+                    continue
+                run, n, loop_pc, _ = block
+                entry = n << _CYCLES_SHIFT | pc
+                if state:  # at execute: the block's fetch half has run
+                    n, state = n - 1, _FETCH
+                    entry = n << _CYCLES_SHIFT | _EXECUTE << _STATE_SHIFT | pc
+                if done:
+                    entry |= min(done[-1] - cycle + 1, n) << _HELD_SHIFT
+                    if done[0] < cycle + n:
+                        leave(cycle + n)
+                emit(entry)
+                cycle += n
                 pc, z, l = run(regs, ram, z, l, cycle, self)
                 if pc == loop_pc:
                     # A branch taken to itself: the spin-forever idiom.
@@ -521,9 +513,7 @@ class Machine:
             state = _EXECUTE  # the faulting UARTS does not retire
             raise
         finally:
-            self.cycles = cycle
-            self.pc = pc
-            self._state = state
+            self.cycles, self.pc, self._state = cycle, pc, state
             flags.z, flags.l = z, l
         return halt_on_self_loop and self.halted
 
@@ -542,19 +532,18 @@ class Machine:
         return CycleRecord(self.cycles - 1, *self._rows(self._log[-1])[-1])
 
     def step(self) -> StepOutcome:
-        """Advance one instruction (first draining any reset cycles), or
-        one cycle when parked in idle."""
-        while self._state in (_RESET1, _RESET2):
-            self.tick()
+        """Advance one instruction, after any reset cycles left, or to
+        the end of the execute half already fetched, or one cycle when
+        parked in idle."""
         events_before = len(self._io_log)
-        pc_before = self.pc
+        pc_before, state = self.pc, self._state
+        self._advance(self.cycles + _STEP_CYCLES[state], False)
         executed = None
-        if self._state != _IDLE:
-            self.tick()              # fetch
+        if state != _IDLE:
             op, rd, rs, imm = self._code.table[pc_before]
             executed = Instruction(Op(op), rd, rs, imm)
-        row = self.tick()            # execute, or the idle cycle
-        return StepOutcome(executed, pc_before, self.pc, row.enables,
+        return StepOutcome(executed, pc_before, self.pc,
+                           self._rows(self._log[-1])[-1][3],
                            tuple(self._io_log[events_before:]))
 
     def run(self, max_cycles: int, *, halt_on_self_loop: bool = True,

@@ -9,7 +9,9 @@ carries duty 1.
 Per-module capacitances are not measurable from outside, so they come
 from `calibrate`: a reference activity trace plus target gated/ungated
 totals determine the overall capacitance and its split between the
-always-on control path and the gated modules.
+always-on control path and the gated modules. Floats are summed left to
+right, as `sum` did before CPython 3.12 made it compensated, so that the
+figures and `default_power.cfg` do not depend on the interpreter.
 """
 
 from __future__ import annotations
@@ -110,10 +112,18 @@ class PowerReport:
     f_hz: float
 
 
+def _total(values) -> float:
+    """The sum of `values`, added left to right."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def power_per_mhz(config: PowerConfig) -> float:
     """Ungated dissipation slope, mW per MHz; independent of f."""
-    energy_per_cycle = sum(config.cap.values()) * config.vdd * config.vswing
-    return energy_per_cycle * 1e9
+    total_cap = _total(config.cap.values())
+    return total_cap * config.vdd * config.vswing * 1e9
 
 
 def estimate(trace: ActivityTrace, config: PowerConfig) -> PowerReport:
@@ -127,8 +137,8 @@ def estimate(trace: ActivityTrace, config: PowerConfig) -> PowerReport:
     duty[CONTROL_NODE] = 1.0
     ungated = {node: scale_mw * config.cap[node] for node in POWER_NODES}
     gated = {node: ungated[node] * duty[node] for node in POWER_NODES}
-    total_gated = sum(gated.values())
-    total_ungated = sum(ungated.values())
+    total_gated = _total(gated.values())
+    total_ungated = _total(ungated.values())
     slope = power_per_mhz(config)
     if not (0 < total_ungated < math.inf and math.isfinite(slope)):
         raise PowerRangeError(f"the ungated power at {config.f_hz / 1e6:g} "
@@ -169,7 +179,7 @@ def calibrate(reference_trace: ActivityTrace,
             f"gated target {gated_mw} exceeds ungated target {ungated_mw}")
 
     duties = reference_trace.duties()
-    mean_duty = sum(duties.values()) / len(GATED_MODULES)
+    mean_duty = _total(duties.values()) / len(GATED_MODULES)
     ratio = gated_mw / ungated_mw
     if mean_duty >= 1.0:
         # Fully active trace: gating changes nothing, any split works.

@@ -16,7 +16,8 @@ conditional branch taken and not taken to itself, budgets and
 injections that land inside a block, a budget that runs a long block's
 fitting prefix, injections that leave the translated blocks as they
 are, and a UART byte draining across idle and reset or ending inside a
-block.
+block. Others pin `step()` after any budget to an execute half, and
+the UART across a long idle spell.
 """
 
 import os
@@ -29,7 +30,7 @@ from hypothesis import strategies as st
 
 from mcusim import cli
 from mcusim.control import GATED_MODULES, GatingPolicy
-from mcusim.isa import Op, RomImage
+from mcusim.isa import Op, RomImage, decode
 from mcusim import machine as machine_module
 from mcusim.machine import Injection, Machine, _translate
 
@@ -400,6 +401,59 @@ def test_uart_drain_ending_inside_a_block(gated):
     busy = [r.cycle for r in m.records if "uart" in r.enables]
     assert busy == (list(range(3, 24)) if gated else list(range(200)))
     check_split_run(UART_LOOP, 200, (), [7, 12, 24, 25, 31], gated)
+
+
+# Straight-line code whose execute halves a budget may split from their
+# fetches, the branchy PORT1 loop, and code that keeps the UART busy.
+STEP_PROGRAMS = [[("LOADI", 1, 0, 5), ("ADD", 2, 1, 0), ("PORT0", 2, 0, 0)],
+                 PORT1_LOOP, UART_LOOP]
+
+
+@pytest.mark.parametrize("gated", [True, False])
+@pytest.mark.parametrize("program", STEP_PROGRAMS)
+def test_step_after_any_budget_ends_at_an_execute_half(program, gated):
+    # run(n) may stop in a reset state, after a fetch or after an
+    # execute. Each step() then runs to the end of the execute half of
+    # the instruction it returns, and the rows are the oracle's: after
+    # run(3), LOADI's execute clocks {regfile}, then ADD's {alu, regfile}.
+    for budget in range(1, 13):
+        m = machine_for(program, gated)
+        m.reset()
+        m.run(budget, halt_on_self_loop=False)
+        for _ in range(4):
+            outcome = m.step()
+            last = m.records[-1]
+            assert (last.fsm_state, last.pc) == ("execute", outcome.pc_before)
+            assert outcome.executed == decode(m.rom[last.pc])
+            assert outcome.modules_active == last.enables
+        expected = oracle.RefMachine(program, gated)
+        expected.reset()
+        expected.run(m.cycles, halt_on_self_loop=False)
+        assert [(r.pc, r.fsm_state, r.opcode, r.enables)
+                for r in m.records] == expected.rows
+
+
+@pytest.mark.parametrize("gated", [True, False])
+def test_long_idle_spell_holds_or_drains_the_uart(gated):
+    # Parked with two bytes queued for a million idle cycles: gated idle
+    # holds the drain, so each byte's leave cycle moves a million later;
+    # ungated, both leave at the oracle's cycles.
+    program = UART_LOOP[:3]
+    m = machine_for(program, gated)
+    m.run(6)
+    m.force_idle()
+    done = list(m.peripherals.uart.tx_done)
+    m.run(m.cycles + 1_000_000, halt_on_self_loop=False)
+    if gated:
+        assert list(m.peripherals.uart.tx_done) == [
+            cycle + 1_000_000 for cycle in done]
+    else:
+        expected = oracle.RefMachine(program, gated)
+        expected.run(6)
+        expected.force_idle()
+        expected.run(100, halt_on_self_loop=False)
+        assert expected.emitted == 2
+        assert io_events(m) == expected.events
 
 
 # A byte for the UART, then a 20-cycle block looping on itself.

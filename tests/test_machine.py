@@ -339,6 +339,14 @@ def test_illegal_opcode_halts_with_context():
     assert m.records[-1].pc == 1
 
 
+def test_step_onto_an_illegal_word_raises_in_its_fetch():
+    m = Machine(RomImage([0xFFFF]))
+    m.reset()
+    with pytest.raises(IllegalOpcodeError):
+        m.step()
+    assert (m.cycles, m.pc) == (3, 0)  # two reset cycles, the fatal fetch
+
+
 def test_reset_preamble_and_state_clearing():
     m = machine_for("LOADI R1, 7\nSTORE R1, 3\ndone: BI done\n")
     m.run(100)
