@@ -12,7 +12,6 @@ Exit codes are part of the interface:
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime
 import re
 import sys
@@ -35,9 +34,12 @@ EXIT_OVERFLOW = 3
 EXIT_USAGE = 64
 
 TRACE_COLUMNS = ("cycle", "pc", "fsm_state", "opcode") + GATED_MODULES
-# I/O log rows formatted per write: their strings are about 80 bytes
-# each, so a chunk holds about 40 KB at once.
-_IO_CHUNK = 512
+# Trace rows per `%`, counted in rows as one entry may take 512 cycles:
+# a chunk of the benchmark loop peaks at about 44 KB of heap; 128 rows
+# are slower and 512 rows take 74 KB.
+_TRACE_ROWS = 256
+# I/O log rows per write: a chunk peaks at about 26 KB of heap.
+_IO_CHUNK = 128
 # What `surrogateescape` decodes a byte that is not UTF-8 to.
 _ESCAPED = re.compile("[\udc80-\udcff]")
 
@@ -143,43 +145,43 @@ def _parse_injections(path: str) -> list[Injection]:
 
 
 def _write_trace(path: str, machine: Machine) -> None:
-    """One CSV row per cycle. The cycles of one log entry, a span, are
-    written from row templates made once per distinct entry from its
-    rows: the text of each row after a `%d` for its cycle."""
-    templates: dict[int, list[tuple[str, int]]] = {}
-    cycle = 0
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(TRACE_COLUMNS) + "\r\n")
-        for entry, span in machine.class_spans():
-            pieces = templates.get(entry)
-            if pieces is None:
-                rows = [",".join(["%d", str(pc), state, opcode]
-                                 + ["1" if m in enables else "0"
-                                    for m in GATED_MODULES]) + "\r\n"
-                        for pc, state, opcode, enables in span]
-                # CPython 3.11 keeps each freed 20-item tuple on a free
-                # list that it never allocates from, up to 2,000 of them
-                # (400 KB), so a 20-cycle entry is formatted in two pieces.
-                cut = 19 if len(rows) == 20 else len(rows)
-                pieces = templates[entry] = [
-                    ("".join(part), len(part))
-                    for part in (rows[:cut], rows[cut:]) if part]
-            for template, n in pieces:
-                fh.write(template % tuple(range(cycle, cycle + n)))
-                cycle += n
+    """One CSV row per cycle, in binary. Each distinct log entry gets a
+    bytes template of its rows, a `%d` for each cycle. Consecutive
+    entries' cycles are consecutive, so one `%` fills the joined
+    templates of entries with `_TRACE_ROWS` rows or more."""
+    templates: dict[int, bytes] = {}
+    parts: list[bytes] = []
+    start = cycle = 0
+    with open(path, "wb") as fh:
+        fh.write(",".join(TRACE_COLUMNS).encode() + b"\r\n")
+        for entry, rows in machine.class_spans():
+            template = templates.get(entry)
+            if template is None:
+                template = templates[entry] = "".join([
+                    ",".join(["%d", str(pc), state, opcode]
+                             + ["1" if m in enables else "0"
+                                for m in GATED_MODULES]) + "\r\n"
+                    for pc, state, opcode, enables in rows]).encode()
+            parts.append(template)
+            cycle += len(rows)
+            if cycle - start >= _TRACE_ROWS:
+                fh.write(b"".join(parts) % tuple(range(start, cycle)))
+                parts.clear()
+                start = cycle
+        fh.write(b"".join(parts) % tuple(range(start, cycle)))
 
 
 def _write_io_log(path: str, io_log) -> None:
     """One CSV row per event of a machine's packed `io_log`, written in
-    chunks of `_IO_CHUNK` rows."""
-    rows = [f"%d,{device},{direction},0x%02X\r\n"
+    binary in chunks of `_IO_CHUNK` rows."""
+    rows = [f"%d,{device},{direction},0x%02X\r\n".encode()
             for device, direction in IO_KINDS]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("cycle,device,direction,value\r\n")
+    with open(path, "wb") as fh:
+        fh.write(b"cycle,device,direction,value\r\n")
         for start in range(0, len(io_log), _IO_CHUNK):
-            fh.write("".join([rows[packed >> 8 & 3] % (packed >> 10,
-                                                       packed & 0xFF)
-                              for packed in io_log[start:start + _IO_CHUNK]]))
+            fh.write(b"".join([rows[packed >> 8 & 3] % (packed >> 10,
+                                                        packed & 0xFF)
+                               for packed in io_log[start:start + _IO_CHUNK]]))
 
 
 def _write_report(path: str, report: PowerReport, cycles: int,
@@ -209,14 +211,12 @@ def _write_report(path: str, report: PowerReport, cycles: int,
     ]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-    with open(path + ".csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["module", "duty", "mw_gated", "mw_ungated"])
-        for node in nodes:
-            writer.writerow([node,
-                             f"{report.duty[node]:.6f}",
-                             f"{report.per_module_mw[node]:.6f}",
-                             f"{report.per_module_ungated_mw[node]:.6f}"])
+    # The excel dialect's rows: no field needs quoting.
+    rows = [("module", "duty", "mw_gated", "mw_ungated")] + [
+        (node, f"{report.duty[node]:.6f}", f"{report.per_module_mw[node]:.6f}",
+         f"{report.per_module_ungated_mw[node]:.6f}") for node in nodes]
+    with open(path + ".csv", "wb") as fh:
+        fh.write("".join([",".join(row) + "\r\n" for row in rows]).encode())
 
 
 def cmd_run(args, parser: _Parser) -> int:

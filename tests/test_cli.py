@@ -1,11 +1,16 @@
 """Command-line interface: exit codes, outputs, determinism."""
 
 import csv
+import tracemalloc
 
 import pytest
 
 from mcusim import cli
-from mcusim.reference import benchmark_source
+from mcusim.asm import assemble
+from mcusim.config import default_config
+from mcusim.machine import Machine
+from mcusim.power import estimate
+from mcusim.reference import BENCHMARK_MAX_CYCLES, benchmark_source
 
 
 def run_cli(*argv):
@@ -254,6 +259,23 @@ def test_report_text_and_csv(bench_rom, tmp_path, capsys):
     assert len(rows) == 10  # control plus the eight gated modules
     control = next(row for row in rows if row[0] == "control")
     assert float(control[1]) == 1.0
+
+
+def test_report_writer_holds_little_memory(tmp_path):
+    # The csv module's writer allocates a 128 KiB record buffer.
+    image, _ = assemble(benchmark_source())
+    m = Machine(image)
+    m.reset()
+    m.run(BENCHMARK_MAX_CYCLES)
+    report = estimate(m.activity(), default_config().power_config(None))
+    tracemalloc.start()
+    try:
+        cli._write_report(str(tmp_path / "power.txt"), report, m.cycles,
+                          True, False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 1024
 
 
 def test_report_timestamp_present_by_default(bench_rom, tmp_path, capsys):

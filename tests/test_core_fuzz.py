@@ -485,3 +485,58 @@ def test_trace_writer_memory_does_not_grow_with_block_runs():
         finally:
             tracemalloc.stop()
     assert kept < 64 * 1024
+
+
+def test_writers_at_their_chunk_edges():
+    # Runs whose trace holds a chunk of rows less one, a chunk, a chunk
+    # and one, and three chunks and one; and whose I/O log holds no
+    # event, one, a chunk less one, a chunk, a chunk and one, and two
+    # chunks and one. Both writers must write the oracle's bytes.
+    rows, events = cli._TRACE_ROWS, cli._IO_CHUNK
+    m = machine_for(PORT1_LOOP)
+    m.run(30 * events, halt_on_self_loop=False)
+    at = [packed >> 10 for packed in m.io_log]
+    runs = [(budget, None) for budget in (rows - 1, rows, rows + 1,
+                                          3 * rows + 1)]
+    runs += [(at[n - 1] + 1 if n else at[0], n)
+             for n in (0, 1, events - 1, events, events + 1, 2 * events + 1)]
+    for budget, logged in runs:
+        m = check_against_oracle(PORT1_LOOP, budget, halt=False)
+        assert m.cycles == budget
+        assert logged is None or len(m.io_log) == logged
+
+
+def writer_peaks(m):
+    """The traced-heap peak of the trace writer and of the I/O log
+    writer on `m`, once the machine has described its log."""
+    with tempfile.TemporaryDirectory() as tmp:
+        trace, io_log = (os.path.join(tmp, name)
+                         for name in ("trace.csv", "io.csv"))
+        cli._write_trace(trace, m)
+        peaks = []
+        tracemalloc.start()
+        try:
+            for write in (lambda: cli._write_trace(trace, m),
+                          lambda: cli._write_io_log(io_log, m.io_log)):
+                tracemalloc.reset_peak()
+                write()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
+@pytest.mark.parametrize("program", [PORT1_LOOP, UART_LOOP])
+def test_writers_transient_memory_is_bounded(program):
+    # 100k cycles, then twice as many: a row of the second half has one
+    # more digit, so a chunk may grow by a few hundred bytes, no more.
+    peaks = []
+    for budget in (100_000, 200_000):
+        m = machine_for(program)
+        m.run(budget, halt_on_self_loop=False)
+        peaks.append(writer_peaks(m))
+    (trace, io_log), (trace2, io_log2) = peaks
+    assert trace < 64 * 1024
+    assert io_log < 32 * 1024
+    assert trace2 < trace + 1024
+    assert io_log2 < io_log + 1024
