@@ -193,10 +193,10 @@ def assemble(source: str) -> tuple[RomImage, dict[str, int]]:
         placed.append((addr, lineno, mnemonic, field))
         addr += 1
 
-    image = RomImage()
+    words = [0] * ROM_WORDS
     for addr, lineno, mnemonic, field in placed:
-        image.words[addr] = _encode_statement(mnemonic, field, lineno, symbols)
-    return image, symbols
+        words[addr] = _encode_statement(mnemonic, field, lineno, symbols)
+    return RomImage(words), symbols
 
 
 def format_instruction(instr: Instruction) -> str:

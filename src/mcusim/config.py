@@ -8,7 +8,8 @@ Recognized keys:
     power.cap.<node>   effective switched capacitance (farads); nodes are
                        the eight gated modules plus `control`
     osc.control_word   0..15, overrides power.f_mhz via the oscillator
-    gate.<OPCODE>.<module> = on|off   execute-row clock-enable override
+    gate.<OPCODE>.<module> = on|off   execute-row clock-enable override;
+                       off only for a module the opcode does not use
 
 Lines are `key = value`; `#` starts a comment. Values omitted by a user
 file fall back to the packaged defaults. Numbers must be finite;
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field, replace
 
 from .asm import read_text
 from .clocking import CONTROL_WORDS, frequency_of
-from .control import GATED_MODULES, GatingPolicy
+from .control import GatingPolicy
 from .isa import BY_MNEMONIC, Op
 from .power import POWER_NODES, PowerConfig, power_per_mhz
 
@@ -121,12 +122,15 @@ def _apply(config: SimConfig, key: str, value: str, lineno: int) -> None:
         op = BY_MNEMONIC.get(parts[1].upper())
         if op is None:
             raise ConfigError(lineno, f"unknown opcode '{parts[1]}'")
-        if parts[2] not in GATED_MODULES:
-            raise ConfigError(lineno, f"unknown module '{parts[2]}'")
         if value not in ("on", "off"):
             raise ConfigError(lineno, f"gate value must be on or off, "
                                       f"got '{value}'")
-        config.gate_overrides.append((op, parts[2], value == "on"))
+        override = (op, parts[2], value == "on")
+        try:
+            GatingPolicy().set_gate(*override)  # raises if it is illegal
+        except ValueError as exc:
+            raise ConfigError(lineno, str(exc)) from None
+        config.gate_overrides.append(override)
     else:
         raise ConfigError(lineno, f"unknown key '{key}'")
 
@@ -180,6 +184,5 @@ def default_config() -> SimConfig:
     return parse_config(text, _empty_base())
 
 
-def load_config(path: str, base: SimConfig | None = None) -> SimConfig:
-    return parse_config(read_text(path, ConfigError),
-                        base if base is not None else default_config())
+def load_config(path: str) -> SimConfig:
+    return parse_config(read_text(path, ConfigError), default_config())

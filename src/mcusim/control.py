@@ -61,6 +61,9 @@ def _default_execute_rows() -> dict[Op, frozenset[str]]:
     return rows
 
 
+_NEEDS = _default_execute_rows()  # what each instruction's execute uses
+
+
 def _default_state_rows() -> dict[FsmState, frozenset[str]]:
     """Enables of the states whose activity does not depend on the
     opcode: fetch clocks the ROM; reset and idle clock nothing beyond
@@ -78,7 +81,7 @@ class GatingPolicy:
     """
 
     execute_rows: dict[Op, frozenset[str]] = field(
-        default_factory=_default_execute_rows)
+        default_factory=_NEEDS.copy)
     state_rows: dict[FsmState, frozenset[str]] = field(
         default_factory=_default_state_rows)
 
@@ -94,9 +97,14 @@ class GatingPolicy:
         return self.state_rows[state]
 
     def set_gate(self, opcode: Op, module: str, enabled: bool) -> None:
-        """Override one execute-row entry (config `gate.<op>.<module>`)."""
+        """Override one execute-row entry (config `gate.<op>.<module>`).
+        It may clock a module the instruction does not use, never stop
+        one it does: gating must not change what a program computes."""
         if module not in GATED_MODULES:
             raise ValueError(f"unknown module '{module}'")
+        if not enabled and module in _NEEDS[opcode]:
+            raise ValueError(f"{opcode.name} uses the {module} clock, "
+                             f"so it cannot be gated off")
         row = set(self.execute_rows[opcode])
         if enabled:
             row.add(module)

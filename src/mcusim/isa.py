@@ -164,33 +164,22 @@ def is_canonical(word: int) -> bool:
         return False
 
 
-class RomImage:
-    """Program memory image: exactly 256 16-bit words, unset words are 0."""
+class RomImage(tuple):
+    """Program memory image: an immutable tuple of exactly 256 16-bit
+    words, unset words 0. It equals the plain tuple of the same words."""
 
-    __slots__ = ("words",)
+    __slots__ = ()
 
-    def __init__(self, words: "list[int] | tuple[int, ...] | None" = None):
-        ws = list(words) if words is not None else []
+    def __new__(cls, words: list[int] | tuple[int, ...] = ()) -> RomImage:
+        ws = tuple(words)
         if len(ws) > ROM_WORDS:
             raise ValueError(f"ROM image too large: {len(ws)} words")
         for i, w in enumerate(ws):
             if not 0 <= w <= WORD_MASK:
                 raise ValueError(f"word {i} out of range: {w:#x}")
-        ws.extend([0] * (ROM_WORDS - len(ws)))
-        self.words = ws
+        return super().__new__(cls, ws + (0,) * (ROM_WORDS - len(ws)))
 
-    def __len__(self) -> int:
-        return ROM_WORDS
-
-    def __getitem__(self, addr: int) -> int:
-        return self.words[addr]
-
-    def __iter__(self):
-        return iter(self.words)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RomImage) and self.words == other.words
-
-    def __repr__(self) -> str:
-        used = sum(1 for w in self.words if w)
-        return f"RomImage({used} non-zero words)"
+    @property
+    def words(self) -> tuple[int, ...]:
+        """The image itself, the tuple of its 256 words."""
+        return self

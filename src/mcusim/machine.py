@@ -15,8 +15,8 @@ byte once it runs that cycle, before any other event of the cycle.
 Gated, idle stops every module clock and moves each queued byte's leave
 cycle one later per idle cycle; ungated, the drain goes on.
 
-The ROM is read-only once a `Machine` is built, so the core translates
-it, block by block, into Python. The first time the core fetches from a
+A ROM image is an immutable tuple, so the core translates it, block by
+block, into Python. The first time the core fetches from a
 pc, it turns the straight-line instructions from there, up to and
 including the first branch or port/display instruction, into one
 function built with `compile` from `_SEMANTICS`, the one source template
@@ -307,9 +307,9 @@ def _translate(words: tuple[int, ...]) -> _Translation:
 class Machine:
     """The microcontroller: CPU core, memories, peripherals, clock gates.
 
-    The ROM must not change once the machine is built: the core runs it
-    as Python blocks translated the first time it reaches them, once
-    per ROM content and process, so machines on equal ROMs share them.
+    The ROM image is an immutable tuple: the core runs it as Python
+    blocks translated the first time it reaches them, once per ROM
+    content and process, so machines on equal ROMs share them.
     The gating policy is not part of the translation; without gating,
     pass `GatingPolicy.ungated()`. Memory grows by 4 bytes per span in
     the log and 8 bytes per I/O event: about 1.2 bytes per cycle on the
@@ -333,7 +333,7 @@ class Machine:
         self._io_log = array("q")
         self.halted = False
         self.halt_reason: str | None = None
-        self._code = _translate(tuple(self.rom))
+        self._code = _translate(self.rom)
         self._state = _FETCH
         self._wake = False
         self._pending: deque[Injection] = deque()  # a run's, by cycle

@@ -68,10 +68,6 @@ class Uart:
         self.tx_queue: deque[int] = deque()
         self.tx_done: deque[int] = deque()
 
-    @property
-    def busy(self) -> bool:
-        return bool(self.tx_queue)
-
     def send(self, byte: int, cycle: int) -> None:
         """Queue `byte`, sent in `cycle`, behind the bytes still queued."""
         if len(self.tx_queue) >= FIFO_DEPTH:

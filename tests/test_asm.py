@@ -189,3 +189,11 @@ def test_rom_file_errors():
         parse_rom_file("0000\n" * 10)
     with pytest.raises(RomFileError):
         parse_rom_file("0000\n" * 300)
+
+
+def test_rom_file_blank_lines_may_only_trail():
+    assert parse_rom_file("0001\n" * ROM_WORDS + "\n  \n\n") == \
+        RomImage([1] * ROM_WORDS)
+    with pytest.raises(RomFileError) as exc:
+        parse_rom_file("0001\n" * 100 + "\n" + "0001\n" * 156)
+    assert str(exc.value) == "line 101: expected a 4-hex-digit word, got ''"

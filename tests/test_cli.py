@@ -322,6 +322,18 @@ def test_osc_flag_overrides_config(bench_rom, tmp_path, capsys):
     assert "frequency: 134.000 MHz" in report.read_text()
 
 
+def test_gating_off_a_used_clock_exits_1_naming_the_line(bench_rom,
+                                                         tmp_path, capsys):
+    cfg = tmp_path / "gate.cfg"
+    cfg.write_text("gate.ADD.regfile = off\n")
+    assert run_cli("run", "--rom", str(bench_rom),
+                   "--config", str(cfg)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("mcusim: error: line 1: ADD uses the regfile "
+                            "clock, so it cannot be gated off\n")
+
+
 def test_bad_config_exits_1(bench_rom, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("power.vdd = tall\n")

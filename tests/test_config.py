@@ -54,12 +54,14 @@ def test_frequency_precedence():
 def test_gate_overrides_build_into_the_policy():
     config = parse_config(
         "gate.NOP.alu = on\n"
-        "gate.add.regfile = off\n",  # opcode case-insensitive
+        "gate.add.ram = on\n"  # opcode case-insensitive
+        "gate.ADD.uart = off\n",  # legal: ADD does not use the UART
         default_config(),
     )
     policy = config.gating_policy()
     assert policy.enables(FsmState.EXECUTE, Op.NOP) == {"alu"}
-    assert policy.enables(FsmState.EXECUTE, Op.ADD) == {"alu"}
+    assert policy.enables(FsmState.EXECUTE, Op.ADD) == {"regfile", "alu",
+                                                        "ram"}
 
 
 @pytest.mark.parametrize("line,fragment", [
@@ -77,6 +79,7 @@ def test_gate_overrides_build_into_the_policy():
     ("gate.NOP.dsp = on", "unknown module"),
     ("gate.NOP.alu = yes", "must be on or off"),
     ("gate.NOP = on", "expected gate.<opcode>.<module>"),
+    ("gate.ADD.regfile = off", "ADD uses the regfile clock"),
     ("mystery.key = 1", "unknown key"),
     ("no equals sign", "expected key = value"),
 ])

@@ -176,6 +176,18 @@ def test_policy_rows_are_configurable():
         policy.set_gate(Op.NOP, "dsp", True)
 
 
+def test_an_override_cannot_stop_a_clock_the_instruction_uses():
+    policy = GatingPolicy()
+    for name, needed in EXECUTE_ROWS.items():
+        for module in needed:
+            with pytest.raises(ValueError, match="cannot be gated off"):
+                policy.set_gate(Op[name], module, False)
+    assert policy == GatingPolicy()
+    # Ungated, every module is on, but what is needed still is.
+    with pytest.raises(ValueError):
+        GatingPolicy.ungated().set_gate(Op.ADD, "alu", False)
+
+
 def test_module_name_order_is_the_trace_column_order():
     assert GATED_MODULES == ("regfile", "alu", "ram", "rom", "port0",
                              "port1", "uart", "sevenseg")

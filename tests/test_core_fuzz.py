@@ -463,8 +463,10 @@ TWENTY_LOOP = ([("LOADI", 1, 0, 0x41), ("UARTS", 1, 0, 0)]
 
 @pytest.mark.parametrize("gated", [True, False])
 def test_twenty_cycle_block_writes_its_rows(gated):
-    # The trace writer formats a 20-cycle entry in two pieces; the first
-    # run of the block holds the UART byte for its first 9 cycles.
+    # The trace writer makes a 20-cycle entry one 20-row template and
+    # fills it in a `%` with its neighbours', 256 rows or more at a time;
+    # the first run of the block holds the UART byte for its first 9
+    # cycles.
     m = check_against_oracle(TWENTY_LOOP, 200, gated=gated, halt=False)
     assert 20 in {len(rows) for _, rows in m.class_spans()}
     check_split_run(TWENTY_LOOP, 200, (), [3, 13, 24, 45], gated)

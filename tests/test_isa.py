@@ -143,6 +143,19 @@ def test_rom_image_pads_and_validates():
         RomImage([0x10000])
 
 
+def test_rom_image_is_an_immutable_tuple():
+    words = [0x6940, 0x23FF]
+    image = RomImage(words)
+    assert image == tuple(words) + (0,) * (ROM_WORDS - len(words))
+    assert hash(image) == hash(RomImage(tuple(words)))
+    with pytest.raises(TypeError):
+        image[0] = 0
+    with pytest.raises(TypeError):
+        image.words[0] = 0
+    words[0] = 0  # the image holds its own words
+    assert image[0] == image.words[0] == 0x6940
+
+
 def test_readme_isa_table_lists_exactly_the_opcodes():
     readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
     table = readme.split("The 30 instructions:", 1)[1].split("\n\n", 2)[1]

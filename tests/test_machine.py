@@ -311,7 +311,7 @@ def test_machines_sharing_a_rom_keep_their_own_gating():
     def overridden():
         m = Machine(rom)
         m.policy.set_gate(Op.ADD, "ram", True)
-        m.policy.set_gate(Op.LOAD, "regfile", False)
+        m.policy.set_gate(Op.LOAD, "alu", True)
         return m
 
     def observed(m):
@@ -327,6 +327,16 @@ def test_machines_sharing_a_rom_keep_their_own_gating():
         fresh.run(interleaved[0].cycles, halt_on_self_loop=False)
         assert observed(m) == observed(fresh)
     assert observed(interleaved[0]) != observed(interleaved[1])
+
+
+def test_a_machine_runs_the_rom_it_was_built_on():
+    rom, _ = assemble("LOADI R1, 5\nPORT0 R1\nhalt: BI halt\n")
+    m = Machine(rom)
+    with pytest.raises(TypeError):
+        rom.words[0] = encode(Instruction(Op.LOADI, rd=1, operand8=9))
+    m.run(100)
+    assert rom[0] == encode(Instruction(Op.LOADI, rd=1, operand8=5))
+    assert m.peripherals.ports.port0_latch == 5
 
 
 def test_illegal_opcode_halts_with_context():

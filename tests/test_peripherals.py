@@ -115,16 +115,6 @@ def test_uart_tx_overflow_at_bound():
     assert len(uart.tx_queue) == len(uart.tx_done) == FIFO_DEPTH
 
 
-def test_uart_busy_tracks_pending_bytes():
-    uart = Uart()
-    assert not uart.busy
-    uart.send(7, 0)
-    assert uart.busy
-    uart.tx_queue.popleft()
-    uart.tx_done.popleft()
-    assert not uart.busy
-
-
 def test_uart_reset_clears_both_queues():
     uart = Uart()
     uart.send(7, 0)
@@ -142,5 +132,5 @@ def test_peripherals_reset_keeps_external_input_level():
     periph.reset()
     assert periph.ports.port0_latch == 0
     assert periph.ports.read_port1() == 0x22  # host-driven level survives
-    assert not periph.uart.busy
+    assert not periph.uart.tx_queue
     assert periph.sevenseg.segments == 0
