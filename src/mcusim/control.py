@@ -92,22 +92,26 @@ class GatingPolicy:
                    dict.fromkeys(_default_state_rows(), ALL_ENABLED))
 
     def enables(self, state: FsmState, opcode: Op) -> frozenset[str]:
-        if state is FsmState.EXECUTE:
-            return self.execute_rows[opcode]
+        if state is FsmState.EXECUTE:  # a table may bypass `set_gate`
+            return _checked(opcode, self.execute_rows[opcode])
         return self.state_rows[state]
 
     def set_gate(self, opcode: Op, module: str, enabled: bool) -> None:
         """Override one execute-row entry (config `gate.<op>.<module>`).
         It may clock a module the instruction does not use, never stop
-        one it does: gating must not change what a program computes."""
+        one it does."""
         if module not in GATED_MODULES:
             raise ValueError(f"unknown module '{module}'")
-        if not enabled and module in _NEEDS[opcode]:
-            raise ValueError(f"{opcode.name} uses the {module} clock, "
-                             f"so it cannot be gated off")
-        row = set(self.execute_rows[opcode])
-        if enabled:
-            row.add(module)
-        else:
-            row.discard(module)
-        self.execute_rows[opcode] = frozenset(row)
+        row = self.execute_rows[opcode]
+        self.execute_rows[opcode] = _checked(
+            opcode, row | {module} if enabled else row - {module})
+
+
+def _checked(opcode: Op, row: frozenset[str]) -> frozenset[str]:
+    """`row`, if it clocks every module `opcode` uses: gating must not
+    change what a program computes."""
+    missing = _NEEDS[opcode] - row
+    if missing:
+        raise ValueError(f"{opcode.name} uses the {', '.join(sorted(missing))}"
+                         f" clock, so it cannot be gated off")
+    return row

@@ -102,7 +102,6 @@ ALU_OPS = frozenset({
     Op.SHL, Op.SHR, Op.ROR, Op.ROL,
 })
 BRANCH_REG_OPS = frozenset({Op.BCH, Op.BEQ, Op.BNEQ, Op.BGT, Op.BLT, Op.BLTE})
-IO_OPS = frozenset({Op.PORT0, Op.PORT1, Op.B7S, Op.UARTS})
 
 
 class IllegalOpcodeError(ValueError):

@@ -18,12 +18,14 @@ cycle one later per idle cycle; ungated, the drain goes on.
 A ROM image is an immutable tuple, so the core translates it, block by
 block, into Python. The first time the core fetches from a
 pc, it turns the straight-line instructions from there, up to and
-including the first branch or port/display instruction, into one
-function built with `compile` from `_SEMANTICS`, the one source template
-per opcode; the block then runs in one call. A block that would cross
-the budget runs as its fitting prefix, translated once per length. A
-translation depends on the ROM words alone, so every machine built on
-the same ROM shares it.
+including the first branch, into one function built with `compile`
+from `_SEMANTICS`, the one source template per opcode; the block then
+runs in one call. Port and display instructions sit inside a block;
+each first logs the UART bytes that have left by its execute cycle,
+then its own event, and the core logs the rest after the block. A
+block that would cross the budget runs as its fitting prefix,
+translated once per length. A translation depends on the ROM words
+alone, so every machine built on the same ROM shares it.
 
 The core advances by spans, each logged as one entry `cycles << 21 |
 state << 18 | held << 8 | pc`: `cycles` cycles from `state` at pc, the
@@ -49,8 +51,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .control import FsmState, GatingPolicy
-from .isa import (IO_OPS, ROM_WORDS, IllegalOpcodeError, Instruction, Op,
-                  RomImage, decode)
+from .isa import (ROM_WORDS, IllegalOpcodeError, Instruction, Op, RomImage,
+                  decode)
 from .peripherals import Peripherals, TxOverflowError
 from .power import ActivityTrace
 
@@ -147,9 +149,14 @@ class Injection:
 # What each opcode does, as one line of Python over a block's locals:
 # r0-r7 are the registers, z and l the flags, pc the address to fetch
 # next, ram the RAM, m the machine and cycle the cycle count just after
-# the instruction's execute cycle. {d}, {s} and {i} are the rd, rs and
-# imm fields and {n} the address after the instruction. A register is
-# written only by `r<k> = `, and only a branch assigns pc.
+# the block. {d}, {s} and {i} are the rd, rs and imm fields and {n} the
+# address after the instruction. An I/O instruction runs in cycle
+# c = cycle - {k}, {k} fixed at translation, and first logs each UART
+# byte that has left by then (`_IO`, which tests the queue itself to
+# skip the call when none has). A register is written only by
+# `r<k> = `, and only a branch assigns pc.
+_IO = ("c = cycle - {k}; done = m.peripherals.uart.tx_done; "
+       "done and done[0] <= c and m._uart_leave(c + 1); ")
 _SEMANTICS = {
     Op.NOP: "",
     Op.LOAD: "r{d} = ram[{i}]",
@@ -179,13 +186,13 @@ _SEMANTICS = {
     Op.BGT: "pc = r{d} & 0xFF if not z and not l else {n}",
     Op.BLT: "pc = r{d} & 0xFF if l else {n}",
     Op.BLTE: "pc = r{d} & 0xFF if l or z else {n}",
-    Op.PORT0: "v = r{d} & 0xFF; m.peripherals.ports.write_port0(v); "
-              "m._io_log.append((cycle - 1) << 10 | v)",
-    Op.PORT1: "r{d} = m._read_port1(cycle - 1); "
-              "m._io_log.append((cycle - 1) << 10 | 0x100 | r{d})",
-    Op.B7S: "seg = m.peripherals.sevenseg; seg.show(r{d} & 0xF); "
-            "m._io_log.append((cycle - 1) << 10 | 0x200 | seg.segments)",
-    Op.UARTS: "m.peripherals.uart.send(r{d} & 0xFF, cycle - 1)",
+    Op.PORT0: _IO + "v = r{d} & 0xFF; m.peripherals.ports.write_port0(v); "
+                    "m._io_log.append(c << 10 | v)",
+    Op.PORT1: _IO + "r{d} = m._read_port1(c); "
+                    "m._io_log.append(c << 10 | 0x100 | r{d})",
+    Op.B7S: _IO + "seg = m.peripherals.sevenseg; seg.show(r{d} & 0xF); "
+                  "m._io_log.append(c << 10 | 0x200 | seg.segments)",
+    Op.UARTS: _IO + "m.peripherals.uart.send(r{d} & 0xFF, c)",
 }
 _REGISTER = re.compile(r"\br([0-7])\b")
 _ASSIGNED = re.compile(r"\br([0-7]) = ")
@@ -216,15 +223,16 @@ def _compile_block(table, words, start: int, room: int) -> tuple:
 
     `run(regs, ram, z, l, cycle, m)` runs the block on machine `m`, with
     `cycle` the cycle count after it, and returns (pc, z, l). A block
-    ends after a branch or a port/display instruction, after 256
-    instructions, or before an illegal word; UARTS is a block of its
-    own, so a full FIFO raises before the block has changed anything.
+    ends after a branch, after 256 instructions, or before an illegal
+    word; UARTS is a block of its own, so a full FIFO raises before the
+    block has changed anything. Port and display instructions sit
+    inside a block, each logging its event at its own execute cycle.
     An illegal word at `start` is a one-cycle block that raises in its
     fetch. `cut` is True when the room ended the block before its end.
     The self-loop pc is that of a closing branch, otherwise -1: a branch
     writes no flags, so one taken to itself repeats forever.
     """
-    body: list[str] = []
+    body: list[tuple[str, int]] = []  # (source, cycles once it has run)
     cycles = 0
     loop_pc = -1
     cut = False
@@ -233,7 +241,7 @@ def _compile_block(table, words, start: int, room: int) -> tuple:
         entry = table[pc]
         if entry is None:
             if not cycles:
-                body.append(f"raise IllegalOpcodeError({words[pc]:#06x})")
+                body.append((f"raise IllegalOpcodeError({words[pc]:#06x})", 1))
                 cycles = 1
             break
         op, rd, rs, imm = entry
@@ -244,22 +252,24 @@ def _compile_block(table, words, start: int, room: int) -> tuple:
             break
         cycles += 2
         nxt = (pc + 1) & PC_MASK
-        source = _SEMANTICS[op].format(d=rd, s=rs, i=imm, n=nxt)
-        body.append(source)
+        source = _SEMANTICS[op].format(d=rd, s=rs, i=imm, n=nxt, k="{k}")
+        body.append((source, cycles))
         if source.startswith("pc = "):
             loop_pc = pc
             break
         pc = nxt
-        if op in IO_OPS:
+        if op == Op.UARTS:
             break
     assert cycles, "a block needs room for its first instruction"
+    # {k}: how far an execute cycle lies back from the count after the block.
+    code = [source.format(k=cycles - after + 1) for source, after in body]
     if loop_pc < 0:
-        body.append(f"pc = {pc}")
+        code.append(f"pc = {pc}")
     # Registers live in locals: load those it names, store those it assigns.
-    text = "\n".join(body)
+    text = "\n".join(code)
     loads = sorted(set(_REGISTER.findall(text)))
     stores = sorted(set(_ASSIGNED.findall(text)))
-    lines = ([f"r{k} = regs[{k}]" for k in loads] + body
+    lines = ([f"r{k} = regs[{k}]" for k in loads] + code
              + [f"regs[{k}] = r{k}" for k in stores] + ["return pc, z, l"])
     namespace = {"IllegalOpcodeError": IllegalOpcodeError}
     exec(compile("def run(regs, ram, z, l, cycle, m):\n"
@@ -312,7 +322,7 @@ class Machine:
     content and process, so machines on equal ROMs share them.
     The gating policy is not part of the translation; without gating,
     pass `GatingPolicy.ungated()`. Memory grows by 4 bytes per span in
-    the log and 8 bytes per I/O event: about 1.2 bytes per cycle on the
+    the log and 8 bytes per I/O event: about 0.9 bytes per cycle on the
     benchmark's loop, 4 bytes per idle cycle. Each distinct entry is
     described once, into the trace rows of its cycles. `records` builds
     a row object per cycle on every access, at O(cycles) cost;
@@ -498,11 +508,11 @@ class Machine:
                     entry = n << _CYCLES_SHIFT | _EXECUTE << _STATE_SHIFT | pc
                 if done:
                     entry |= min(done[-1] - cycle + 1, n) << _HELD_SHIFT
-                    if done[0] < cycle + n:
-                        leave(cycle + n)
                 emit(entry)
                 cycle += n
                 pc, z, l = run(regs, ram, z, l, cycle, self)
+                if done:  # the bytes that left after its last I/O event
+                    leave(cycle)
                 if pc == loop_pc:
                     # A branch taken to itself: the spin-forever idiom.
                     self.halted = True
@@ -513,6 +523,7 @@ class Machine:
             state = _EXECUTE  # the faulting UARTS does not retire
             raise
         finally:
+            leave(cycle)  # a fault may stop a block before it logs them
             self.cycles, self.pc, self._state = cycle, pc, state
             flags.z, flags.l = z, l
         return halt_on_self_loop and self.halted

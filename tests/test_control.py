@@ -10,7 +10,10 @@ from mcusim.control import (
     GatingPolicy,
 )
 from mcusim.isa import Instruction, Op, RomImage, encode
+from mcusim.config import default_config
 from mcusim.machine import Machine
+from mcusim.power import estimate
+from mcusim.reference import BENCHMARK_MAX_CYCLES, benchmark_rom
 
 ALL_STATES = list(FsmState)
 ALL_OPS = list(Op)
@@ -186,6 +189,31 @@ def test_an_override_cannot_stop_a_clock_the_instruction_uses():
     # Ungated, every module is on, but what is needed still is.
     with pytest.raises(ValueError):
         GatingPolicy.ungated().set_gate(Op.ADD, "alu", False)
+
+
+@pytest.mark.parametrize("route", ["row", "constructor", "reassigned"])
+def test_a_table_written_around_set_gate_is_checked_where_it_is_read(route):
+    # Each route stops ADD's register file clock without `set_gate`:
+    # writing one row, building the table whole, or handing a machine
+    # such a policy after it was built. ADD still writes the register
+    # file, so the run must not be priced.
+    if route == "row":
+        policy = GatingPolicy()
+        policy.execute_rows[Op.ADD] = frozenset({"alu"})
+    else:
+        policy = GatingPolicy({**GatingPolicy().execute_rows,
+                               Op.ADD: frozenset({"alu"})})
+    if route == "reassigned":
+        m = Machine(benchmark_rom())
+        m.policy = policy
+    else:
+        m = Machine(benchmark_rom(), policy=policy)
+    m.reset()
+    m.run(BENCHMARK_MAX_CYCLES)
+    with pytest.raises(ValueError, match="ADD uses the regfile clock"):
+        estimate(m.activity(), default_config().power_config())
+    with pytest.raises(ValueError, match="cannot be gated off"):
+        policy.enables(FsmState.EXECUTE, Op.ADD)
 
 
 def test_module_name_order_is_the_trace_column_order():

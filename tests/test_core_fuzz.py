@@ -15,9 +15,10 @@ wraps from 0xFF to 0x00, a block closed by a branch to itself, each
 conditional branch taken and not taken to itself, budgets and
 injections that land inside a block, a budget that runs a long block's
 fitting prefix, injections that leave the translated blocks as they
-are, and a UART byte draining across idle and reset or ending inside a
-block. Others pin `step()` after any budget to an execute half, and
-the UART across a long idle spell.
+are, and a UART byte draining across idle and reset, ending inside a
+block, or leaving between or with the port events of one block, in the
+fetch of a UARTS or in an illegal fetch. Others pin `step()` after any
+budget to an execute half, and the UART across a long idle spell.
 """
 
 import os
@@ -30,7 +31,7 @@ from hypothesis import strategies as st
 
 from mcusim import cli
 from mcusim.control import GATED_MODULES, GatingPolicy
-from mcusim.isa import Op, RomImage, decode
+from mcusim.isa import IllegalOpcodeError, Op, RomImage, decode
 from mcusim import machine as machine_module
 from mcusim.machine import Injection, Machine, _translate
 
@@ -272,7 +273,8 @@ def test_conditional_branch_taken_to_itself_halts(mnemonic, taken,
     assert (m.halted, m.halt_reason, m.cycles) == (False, None, 1000)
 
 
-# A nine-instruction block closed by PORT1, then PORT0 and a branch back.
+# Straight-line code with PORT1 and PORT0 in it, then a branch back: one
+# block from 0, then one from 1, each closed by the branch.
 PORT1_LOOP = [("LOADI", 1, 0, 0x11), ("ADD", 2, 1, 0), ("SHL", 2, 0, 0),
               ("XOR", 3, 2, 0), ("DEC", 4, 0, 0), ("INC", 5, 0, 0),
               ("OR", 6, 3, 0), ("SUB", 6, 1, 0), ("PORT1", 7, 0, 0),
@@ -358,7 +360,7 @@ def test_injections_translate_no_extra_blocks():
                                for c in cycles])
         return [pc for pc, block in enumerate(m._code.blocks) if block]
 
-    assert translated(range(0, 300, 3)) == translated([]) == [0, 1, 9, 10]
+    assert translated(range(0, 300, 3)) == translated([]) == [0, 1]
 
 
 # Two bytes for the UART, then a 13-instruction block looping on itself.
@@ -401,6 +403,73 @@ def test_uart_drain_ending_inside_a_block(gated):
     busy = [r.cycle for r in m.records if "uart" in r.enables]
     assert busy == (list(range(3, 24)) if gated else list(range(200)))
     check_split_run(UART_LOOP, 200, (), [7, 12, 24, 25, 31], gated)
+
+
+def port_block(leaves_with_port0):
+    """A byte queued in cycle 3, so leaving in 13, then one block from
+    pc 2 to a branch back: PORT0 in cycle 5, PORT0 in 11 or, with
+    `leaves_with_port0`, in 13, and B7S in 15."""
+    nop, port0 = ("NOP", 0, 0, 0), ("PORT0", 2, 0, 0)
+    middle = ([nop, nop, nop, port0] if leaves_with_port0
+              else [nop, nop, port0, nop])
+    return ([("LOADI", 1, 0, 0x41), ("UARTS", 1, 0, 0), ("PORT0", 1, 0, 0)]
+            + middle + [("B7S", 1, 0, 0), ("BI", 0, 0, 2)])
+
+
+@pytest.mark.parametrize("gated", [True, False])
+@pytest.mark.parametrize("leaves_with_port0", [False, True])
+def test_a_byte_leaving_inside_a_block_logs_between_its_events(
+        leaves_with_port0, gated):
+    # Port and display instructions do not end a block, so the byte
+    # leaves inside the block from pc 2. Each I/O instruction logs the
+    # bytes that left up to its cycle before its own event; in one
+    # cycle the leave comes first.
+    program = port_block(leaves_with_port0)
+    m = check_against_oracle(program, 18, gated=gated)
+    assert m._code.blocks[2][1] == 14  # cycles 4-17
+    inside = ([(13, "uart"), (13, "port0")] if leaves_with_port0
+              else [(11, "port0"), (13, "uart")])
+    assert [(e.cycle, e.device) for e in io_events(m)] == [
+        (5, "port0"), *inside, (15, "sevenseg")]
+    check_split_run(program, 60, (), [6, 13, 14, 17, 33], gated)
+
+
+def test_a_byte_leaving_in_an_illegal_fetch_is_logged():
+    # The byte queued in cycle 3 would leave in 13, an execute cycle.
+    # The machine is parked after the fetch in cycle 4, for one gated
+    # idle cycle that holds the drain: the byte then leaves in 14, in
+    # the fetch of the illegal word at pc 6, which ends the run (`mcusim
+    # run` exits 2). Its I/O log must still hold the byte.
+    program = [("LOADI", 1, 0, 0x41), ("UARTS", 1, 0, 0)]
+    program += [("NOP", 0, 0, 0)] * 4
+    m = Machine(RomImage([encode_tuple(*t) for t in program] + [0xA800]))
+    m.run(5)
+    m.force_idle()
+    m.interrupt()
+    with pytest.raises(IllegalOpcodeError):
+        m.run(100)
+    assert (m.cycles, m.pc) == (15, 6)
+    assert [(e.cycle, e.device) for e in io_events(m)] == [(14, "uart")]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "io.csv")
+        cli._write_io_log(path, m.io_log)
+        with open(path, "rb") as fh:
+            assert fh.read().endswith(b"\r\n14,uart,out,0x41\r\n")
+
+
+@pytest.mark.parametrize("gated", [True, False])
+def test_a_byte_leaving_in_the_fetch_of_uarts_is_gone_before_it_sends(gated):
+    # One idle cycle, ungated after the execute in cycle 3 or gated
+    # after the fetch in cycle 4, puts the first byte's leave in the
+    # fetch of the second UARTS. That UARTS then finds the FIFO empty,
+    # so the second byte leaves ten cycles after its own send.
+    program = ([("LOADI", 1, 0, 0x41), ("UARTS", 1, 0, 0)]
+               + [("NOP", 0, 0, 0)] * 4 + [("UARTS", 1, 0, 0)])
+    park = 5 if gated else 4
+    m = check_against_oracle(program, 40, halt=False, gated=gated,
+                             host=[(park, "force_idle"),
+                                   (park, "interrupt")])
+    assert [e.cycle for e in io_events(m)] == [park + 9, park + 20]
 
 
 # Straight-line code whose execute halves a budget may split from their
