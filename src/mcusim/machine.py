@@ -18,22 +18,26 @@ cycle one later per idle cycle; ungated, the drain goes on.
 A ROM image is an immutable tuple, so the core translates it, block by
 block, into Python. The first time the core fetches from a
 pc, it turns the straight-line instructions from there, up to and
-including the first branch, into one function built with `compile`
-from `_SEMANTICS`, the one source template per opcode; the block then
-runs in one call. Port and display instructions sit inside a block;
-each first logs the UART bytes that have left by its execute cycle,
-then its own event, and the core logs the rest after the block. A
-block that would cross the budget runs as its fitting prefix,
-translated once per length. A translation depends on the ROM words
-alone, so every machine built on the same ROM shares it.
+including the first branch, at most 32 of them, into one function
+built with `compile` from `_SEMANTICS`, the one source template per
+opcode; the block then runs in one call. I/O instructions, `UARTS`
+too, sit inside a block; each first logs the UART bytes that have left
+by its execute cycle, then its own event or send, and the core logs
+the rest after the block. A block whose sends could overflow the FIFO
+runs only up to its first `UARTS`, or that `UARTS` alone, so an
+overflow raises before a block has changed anything. A block that
+would cross the budget runs as its fitting prefix, translated once per
+length. A translation depends on the ROM words alone, so every machine
+built on the same ROM shares it.
 
 The core advances by spans, each logged as one entry `cycles << 21 |
 state << 18 | held << 8 | pc`: `cycles` cycles from `state` at pc, the
-first `held` of them begun with a UART byte queued. A span is a reset
-or idle cycle, a fetch with no room for its execute half, or a block
-run, which starts at the execute half if its fetch has run; a block's
-cycles alternate fetch and execute, pc going up after each execute. As
-the enables are a function of (state, opcode, busy, policy) and the
+first `held` of them begun with a UART byte queued before the span. A
+span is a reset or idle cycle, a fetch with no room for its execute
+half, or a block run, which starts at the execute half if its fetch
+has run; a block's cycles alternate fetch and execute, pc going up
+after each execute, and each `UARTS` execute extends the hold. As the
+enables are a function of (state, opcode, busy, policy) and the
 opcode of the pc, an entry carries all its trace rows hold;
 `Machine._rows` turns it into them, once per entry, and every reader of
 the log goes through it. I/O events are logged as packed integers.
@@ -53,11 +57,15 @@ from functools import lru_cache
 from .control import FsmState, GatingPolicy
 from .isa import (ROM_WORDS, IllegalOpcodeError, Instruction, Op, RomImage,
                   decode)
-from .peripherals import Peripherals, TxOverflowError
+from .peripherals import (BAUD_DIVISOR, FIFO_DEPTH, Peripherals,
+                          TxOverflowError)
 from .power import ActivityTrace
 
 RAM_WORDS = 1024
 PC_MASK = 0xFF
+# Instructions a block holds at most: `compile`'s transient heap grows
+# with the block's source, by about 7 KB per instruction.
+BLOCK_CAP = 32
 
 # Controller states as the core numbers them; `_STATES` maps them back
 # and `_NEXT` gives the state after each, pc going up after an execute.
@@ -69,7 +77,8 @@ _NEXT = (_EXECUTE, _FETCH, _RESET2, _FETCH, _IDLE)
 _STEP_CYCLES = (2, 1, 4, 3, 1)
 # A log entry is a span, cycles << 21 | state << 18 | held << 8 | pc:
 # `cycles` cycles from `state` at pc, of which the first `held` began
-# with a UART byte queued; 0 in idle, whose rows do not depend on it.
+# with a UART byte queued before the span; 0 in idle, whose rows do not
+# depend on it.
 _CYCLES_SHIFT = 21
 _STATE_SHIFT = 18
 _HELD_SHIFT = 8
@@ -219,25 +228,28 @@ def _predecode(words) -> list[tuple[int, int, int, int] | None]:
 def _compile_block(table, words, start: int, room: int) -> tuple:
     """Translate the longest block from `start` that takes at most
     `room` cycles, at least 2 unless the word at `start` is illegal,
-    into (run, cycles, self-loop pc, cut).
+    into (run, cycles, self-loop pc, cut, sends, first).
 
     `run(regs, ram, z, l, cycle, m)` runs the block on machine `m`, with
     `cycle` the cycle count after it, and returns (pc, z, l). A block
-    ends after a branch, after 256 instructions, or before an illegal
-    word; UARTS is a block of its own, so a full FIFO raises before the
-    block has changed anything. Port and display instructions sit
-    inside a block, each logging its event at its own execute cycle.
-    An illegal word at `start` is a one-cycle block that raises in its
-    fetch. `cut` is True when the room ended the block before its end.
-    The self-loop pc is that of a closing branch, otherwise -1: a branch
-    writes no flags, so one taken to itself repeats forever.
+    ends after a branch, after `BLOCK_CAP` instructions, or before an
+    illegal word. I/O instructions, `UARTS` included, sit inside a
+    block, each logging its event or sending at its own execute cycle.
+    `sends` counts the block's `UARTS` and `first` is the room of the
+    cut that ends before the first of them, or 2, the room of that
+    `UARTS` alone, when it opens the block: the core runs that cut when
+    the sends could overflow the FIFO. An illegal word at `start` is a
+    one-cycle block that raises in its fetch. `cut` is True when the
+    room ended the block before its end. The self-loop pc is that of a
+    closing branch, otherwise -1: a branch writes no flags, so one
+    taken to itself repeats forever.
     """
     body: list[tuple[str, int]] = []  # (source, cycles once it has run)
-    cycles = 0
+    cycles = sends = first = 0
     loop_pc = -1
     cut = False
     pc = start
-    for _ in range(ROM_WORDS):
+    for _ in range(BLOCK_CAP):
         entry = table[pc]
         if entry is None:
             if not cycles:
@@ -245,11 +257,12 @@ def _compile_block(table, words, start: int, room: int) -> tuple:
                 cycles = 1
             break
         op, rd, rs, imm = entry
-        if op == Op.UARTS and cycles:
-            break
         if cycles + 2 > room:
             cut = True
             break
+        if op == Op.UARTS:
+            first = first or cycles or 2
+            sends += 1
         cycles += 2
         nxt = (pc + 1) & PC_MASK
         source = _SEMANTICS[op].format(d=rd, s=rs, i=imm, n=nxt, k="{k}")
@@ -258,8 +271,6 @@ def _compile_block(table, words, start: int, room: int) -> tuple:
             loop_pc = pc
             break
         pc = nxt
-        if op == Op.UARTS:
-            break
     assert cycles, "a block needs room for its first instruction"
     # {k}: how far an execute cycle lies back from the count after the block.
     code = [source.format(k=cycles - after + 1) for source, after in body]
@@ -275,7 +286,7 @@ def _compile_block(table, words, start: int, room: int) -> tuple:
     exec(compile("def run(regs, ram, z, l, cycle, m):\n"
                  + "".join(f"    {line}\n" for line in lines),
                  f"<ROM block at {start:#04x}>", "exec"), namespace)
-    return namespace["run"], cycles, loop_pc, cut
+    return namespace["run"], cycles, loop_pc, cut, sends, first
 
 
 class _Translation:
@@ -322,7 +333,7 @@ class Machine:
     content and process, so machines on equal ROMs share them.
     The gating policy is not part of the translation; without gating,
     pass `GatingPolicy.ungated()`. Memory grows by 4 bytes per span in
-    the log and 8 bytes per I/O event: about 0.9 bytes per cycle on the
+    the log and 8 bytes per I/O event: about 0.8 bytes per cycle on the
     benchmark's loop, 4 bytes per idle cycle. Each distinct entry is
     described once, into the trace rows of its cycles. `records` builds
     a row object per cycle on every access, at O(cycles) cost;
@@ -348,6 +359,16 @@ class Machine:
         self._wake = False
         self._pending: deque[Injection] = deque()  # a run's, by cycle
         self._log = array("I")  # one entry per span
+
+    @property
+    def policy(self) -> GatingPolicy:
+        """The gating policy that prices the log; setting it describes
+        every entry anew under the new one."""
+        return self._policy
+
+    @policy.setter
+    def policy(self, policy: GatingPolicy) -> None:
+        self._policy = policy
         self._described: dict[int, tuple[_Row, ...]] = {}  # see `_rows`
 
     @property
@@ -409,10 +430,14 @@ class Machine:
     def _rows(self, entry: int) -> tuple[_Row, ...]:
         """The trace row of each cycle a log entry took, in order.
 
-        Memoised per machine and entry, so the gating policy is read the
-        first time an entry is described. A block run walks its cycles
-        through fetch <-> execute and takes each cycle's row from the
-        one-cycle span of that cycle, so equal rows are one tuple."""
+        Memoised per machine and entry until the policy is set, so the
+        gating policy is read the first time an entry is described under
+        it. A block run walks its cycles through fetch <-> execute and
+        takes each cycle's row from the one-cycle span of that cycle, so
+        equal rows are one tuple. A `UARTS` executed at offset `i` queues
+        a byte that leaves `BAUD_DIVISOR` cycles after the later of its
+        send and the leave of the last byte held, so the hold runs on to
+        `max(held, i + 1) + BAUD_DIVISOR`."""
         rows = self._described.get(entry)
         if rows is not None:
             return rows
@@ -423,17 +448,20 @@ class Machine:
             decoded = self._code.table[pc] if state <= _EXECUTE else None
             op = None if decoded is None else Op(decoded[0])
             fsm = _STATES[state]
-            enables = self.policy.enables(fsm, Op.NOP if op is None else op)
+            enables = self._policy.enables(fsm, Op.NOP if op is None else op)
             if held and state != _IDLE:
                 enables = enables | {"uart"}
             rows = ((pc, fsm.value, "-" if op is None else op.name,
                      enables),)
         else:
             cells: list[_Row] = []
+            table = self._code.table
             for i in range(entry >> _CYCLES_SHIFT):
                 cells += self._rows(1 << _CYCLES_SHIFT | state << _STATE_SHIFT
                                     | (i < held) << _HELD_SHIFT | pc)
                 if state == _EXECUTE:
+                    if table[pc][0] == Op.UARTS:  # its byte is queued next
+                        held = max(held, i + 1) + BAUD_DIVISOR
                     pc = (pc + 1) & PC_MASK
                 state = _NEXT[state]
             rows = tuple(cells)
@@ -463,7 +491,8 @@ class Machine:
 
         Each step runs one span and logs one entry: a reset or idle
         cycle, a fetch with no room for its execute half, or the longest
-        block that ends by `stop`. With
+        block that ends by `stop`, cut before its first `UARTS` (or to
+        that `UARTS` alone) when its sends could overflow the FIFO. With
         `halt_on_self_loop`, a machine that has already halted runs one
         more cycle and stops again.
         """
@@ -501,7 +530,12 @@ class Machine:
                     emit(entry)
                     cycle += 1
                     continue
-                run, n, loop_pc, _ = block
+                run, n, loop_pc, _, sends, first = block
+                if sends and len(done) + sends > FIFO_DEPTH:
+                    # A send may find the FIFO full: run up to the first
+                    # UARTS, or it alone, so that it raises before the
+                    # block has changed anything.
+                    run, n, loop_pc, _, sends, first = code.block(pc, first)
                 entry = n << _CYCLES_SHIFT | pc
                 if state:  # at execute: the block's fetch half has run
                     n, state = n - 1, _FETCH
@@ -520,7 +554,7 @@ class Machine:
                     if halt_on_self_loop:
                         break
         except TxOverflowError:
-            state = _EXECUTE  # the faulting UARTS does not retire
+            state = _EXECUTE  # the lone faulting UARTS does not retire
             raise
         finally:
             leave(cycle)  # a fault may stop a block before it logs them

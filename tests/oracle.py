@@ -8,7 +8,8 @@ written out longhand from the specification.
 `run_program` runs a branch-free list top to bottom exactly once.
 `RefMachine` runs a program with branches cycle by cycle: two cycles
 per instruction, self-loop halts, the UART draining one byte per ten
-clocked cycles, port 1 injections, per-module enabled-cycle counts,
+clocked cycles from a 256-byte FIFO, which a send to it when full
+overflows, port 1 injections, per-module enabled-cycle counts,
 gated or with every module clocked, and the host's reset, force-idle
 and interrupt lines between runs. `trace_csv` and `io_log_csv` render
 its cycles and events as the bytes `mcusim run` writes to
@@ -30,6 +31,12 @@ BRANCHES = {"BI", "BGTI", "BCH", "BEQ", "BNEQ", "BGT", "BLT", "BLTE"}
 IO_MODULE = {"PORT0": "port0", "PORT1": "port1", "B7S": "sevenseg",
              "UARTS": "uart"}
 UART_CYCLES_PER_BYTE = 10
+FIFO_BYTES = 256
+
+
+class FifoFull(Exception):
+    """A UARTS found the transmit FIFO full. It does not retire: its
+    execute cycle has run, and the machine stays in it."""
 
 
 class RefState:
@@ -262,32 +269,38 @@ class RefMachine(RefState):
 
         if self.halted and halt_on_self_loop:
             stop = self.cycles + 1
-        while self.cycles < stop:
-            if self.state == "reset1":
-                self.clock(set())
-                self.state = "reset2"
-            elif self.state == "reset2":
-                self.clock(set())
-                self.state = "fetch"
-            elif self.state == "idle":
-                self.clock(set())
-                if self.wake:
+        try:
+            while self.cycles < stop:
+                if self.state == "reset1":
+                    self.clock(set())
+                    self.state = "reset2"
+                elif self.state == "reset2":
+                    self.clock(set())
                     self.state = "fetch"
-                self.wake = False
-            elif self.state == "fetch":
-                self.clock({"rom"})
-                self.state = "execute"
-            elif self.execute_cycle(apply_due) and halt_on_self_loop:
-                break
-        apply_due(self.cycles - 1)
+                elif self.state == "idle":
+                    self.clock(set())
+                    if self.wake:
+                        self.state = "fetch"
+                    self.wake = False
+                elif self.state == "fetch":
+                    self.clock({"rom"})
+                    self.state = "execute"
+                elif self.execute_cycle(apply_due) and halt_on_self_loop:
+                    break
+        finally:
+            apply_due(self.cycles - 1)
 
     def execute_cycle(self, apply_due):
         """The execute cycle of the instruction at pc. Returns True when
-        it is a branch taken to itself."""
+        it is a branch taken to itself; raises FifoFull when it is a
+        UARTS that finds the FIFO full once the cycle's leave is done."""
         mnemonic, rd, rs, imm = self.rom.get(self.pc, ("NOP", 0, 0, 0))
         now = self.cycles
         apply_due(now)
         self.clock(execute_enables(mnemonic))
+        if (mnemonic == "UARTS"
+                and len(self.uart_sent) - self.emitted >= FIFO_BYTES):
+            raise FifoFull(f"{FIFO_BYTES} bytes queued")
         self.state = "fetch"
         here = self.pc
         if mnemonic in BRANCHES:

@@ -13,7 +13,8 @@ from mcusim.isa import Instruction, Op, RomImage, encode
 from mcusim.config import default_config
 from mcusim.machine import Machine
 from mcusim.power import estimate
-from mcusim.reference import BENCHMARK_MAX_CYCLES, benchmark_rom
+from mcusim.reference import (BENCHMARK_MAX_CYCLES, benchmark_rom,
+                              run_benchmark)
 
 ALL_STATES = list(FsmState)
 ALL_OPS = list(Op)
@@ -214,6 +215,23 @@ def test_a_table_written_around_set_gate_is_checked_where_it_is_read(route):
         estimate(m.activity(), default_config().power_config())
     with pytest.raises(ValueError, match="cannot be gated off"):
         policy.enables(FsmState.EXECUTE, Op.ADD)
+
+
+def test_a_policy_set_after_the_run_prices_the_run():
+    # The rows of a log are described under the policy the machine holds
+    # when they are read, so a policy set after the run, once the gated
+    # figure has been read, reprices it, and a bad one is refused.
+    config = default_config().power_config()
+    m = run_benchmark()
+    assert round(estimate(m.activity(), config).total_gated_mw, 3) == 182.0
+    m.policy = GatingPolicy.ungated()
+    assert round(estimate(m.activity(), config).total_gated_mw, 3) == 273.0
+    m.policy = GatingPolicy({**GatingPolicy().execute_rows,
+                             Op.ADD: frozenset({"alu"})})
+    with pytest.raises(ValueError, match="ADD uses the regfile clock"):
+        m.activity()
+    m.policy = GatingPolicy()
+    assert round(estimate(m.activity(), config).total_gated_mw, 3) == 182.0
 
 
 def test_module_name_order_is_the_trace_column_order():

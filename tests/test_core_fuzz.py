@@ -17,8 +17,10 @@ injections that land inside a block, a budget that runs a long block's
 fitting prefix, injections that leave the translated blocks as they
 are, and a UART byte draining across idle and reset, ending inside a
 block, or leaving between or with the port events of one block, in the
-fetch of a UARTS or in an illegal fetch. Others pin `step()` after any
-budget to an execute half, and the UART across a long idle spell.
+fetch of a UARTS or in an illegal fetch, and a full transmit FIFO met
+by a UARTS first, in the middle or last in a block. Others pin `step()`
+after any budget to an execute half, the UART across a long idle spell,
+and the block-length cap.
 """
 
 import os
@@ -34,6 +36,7 @@ from mcusim.control import GATED_MODULES, GatingPolicy
 from mcusim.isa import IllegalOpcodeError, Op, RomImage, decode
 from mcusim import machine as machine_module
 from mcusim.machine import Injection, Machine, _translate
+from mcusim.peripherals import TxOverflowError
 
 import oracle
 from test_machine import encode_tuple, io_events
@@ -126,30 +129,9 @@ def check_against_oracle(program, budget, injections=(), reset=False,
         m.reset()
     drive(expected, budget, injections, host, halt)
     result, made, applied = drive(m, budget, injections, host, halt)
-
-    assert m.regs == expected.regs
-    assert (m.flags.z, m.flags.l) == (expected.z, expected.l)
-    assert m.pc == expected.pc
-    assert all(m.ram[a] == expected.ram.get(a, 0) for a in range(256))
-    assert m.cycles == result.cycles == expected.cycles
-    assert m.halted == expected.halted
+    assert m.cycles == result.cycles
     assert result.halted == (expected.halted and halt)
-    assert m.peripherals.ports.port0_latch == expected.port0
-    assert m.peripherals.sevenseg.last_digit == expected.sevenseg_digit
-    assert (list(m.peripherals.uart.tx_queue)
-            == expected.uart_sent[expected.emitted:])
-    assert m.peripherals.ports.port1_input == expected.port1_input
-    assert io_events(m) == expected.events
-
-    activity = m.activity()
-    assert activity.total_cycles == expected.cycles
-    assert activity.duties() == {
-        module: expected.enabled[module] / expected.cycles
-        for module in GATED_MODULES}
-
-    assert ([r.fsm_state for r in m.records]
-            == [state for _, state, _, _ in expected.rows])
-    assert outputs(m)[0] == oracle_outputs(expected)
+    assert_like_oracle(m, expected)
 
     # tick() drives the same core one cycle at a time.
     ticked = Machine(m.rom, policy=m.policy)
@@ -166,6 +148,35 @@ def check_against_oracle(program, budget, injections=(), reset=False,
         ticked.tick()
     assert arch_state(ticked) == arch_state(m)
     return m
+
+
+def assert_like_oracle(m, expected):
+    """The simulator `m` and the oracle agree on the architectural and
+    controller state, the I/O log, the activity and every byte the
+    trace and I/O log writers write."""
+    assert m.regs == expected.regs
+    assert (m.flags.z, m.flags.l) == (expected.z, expected.l)
+    assert m.pc == expected.pc
+    assert m.fsm.value == expected.state
+    assert all(m.ram[a] == expected.ram.get(a, 0) for a in range(256))
+    assert m.cycles == expected.cycles
+    assert m.halted == expected.halted
+    assert m.peripherals.ports.port0_latch == expected.port0
+    assert m.peripherals.sevenseg.last_digit == expected.sevenseg_digit
+    assert (list(m.peripherals.uart.tx_queue)
+            == expected.uart_sent[expected.emitted:])
+    assert m.peripherals.ports.port1_input == expected.port1_input
+    assert io_events(m) == expected.events
+
+    activity = m.activity()
+    assert activity.total_cycles == expected.cycles
+    assert activity.duties() == {
+        module: expected.enabled[module] / expected.cycles
+        for module in GATED_MODULES}
+
+    assert ([r.fsm_state for r in m.records]
+            == [state for _, state, _, _ in expected.rows])
+    assert outputs(m)[0] == oracle_outputs(expected)
 
 
 def outputs(m):
@@ -292,7 +303,9 @@ def test_budgets_and_injections_inside_a_block():
 
 
 # A byte for the UART, then INCs among NOPs from address 2 to the BI at
-# 200: a 398-cycle block that every budget below cuts.
+# 200: straight code that the 32-instruction cap splits into 64-cycle
+# blocks from 0x00, 0x20, 0x40 and on, one of which every budget below
+# cuts.
 LONG_BLOCK = nops_except({0: ("LOADI", 1, 0, 0x41), 1: ("UARTS", 1, 0, 0),
                           **{a: ("INC", 2, 0, 0) for a in range(2, 200, 7)},
                           200: ("BI", 0, 0, 0)})
@@ -301,10 +314,10 @@ LONG_BLOCK = nops_except({0: ("LOADI", 1, 0, 0x41), 1: ("UARTS", 1, 0, 0),
 @pytest.mark.parametrize("budget", [101, 102, 250, 251])
 def test_a_budget_inside_a_block_runs_its_fitting_prefix(budget,
                                                          monkeypatch):
-    # The run to `budget` translates the blocks at 0 and 1 and the prefix
-    # of the block at 2 that fits. An odd budget leaves a lone fetch,
-    # whose execute half, run next, translates one instruction. A second
-    # machine on the ROM reuses all of them.
+    # The run to `budget` translates the whole blocks before it and the
+    # prefix that fits of the block it cuts. An odd budget leaves a lone
+    # fetch, whose execute half, run next, translates one instruction. A
+    # second machine on the ROM reuses all of them.
     compiled = []
 
     def counting(source, filename, mode):
@@ -318,7 +331,8 @@ def test_a_budget_inside_a_block_runs_its_fitting_prefix(budget,
         m.run(budget)
         m.run(budget + 1)
     lone = [f"<ROM block at {budget // 2:#04x}>"] if budget % 2 else []
-    assert compiled == [f"<ROM block at {pc:#04x}>" for pc in (0, 1, 2)] + lone
+    assert compiled == [f"<ROM block at {pc:#04x}>"
+                        for pc in range(0, budget // 2, 32)] + lone
     check_split_run(LONG_BLOCK, 1000, (),
                     [budget, budget + 1, budget + 4, budget + 400])
 
@@ -406,9 +420,9 @@ def test_uart_drain_ending_inside_a_block(gated):
 
 
 def port_block(leaves_with_port0):
-    """A byte queued in cycle 3, so leaving in 13, then one block from
-    pc 2 to a branch back: PORT0 in cycle 5, PORT0 in 11 or, with
-    `leaves_with_port0`, in 13, and B7S in 15."""
+    """A byte queued in cycle 3, so leaving in 13, then, in the same
+    block up to a branch back to pc 2: PORT0 in cycle 5, PORT0 in 11
+    or, with `leaves_with_port0`, in 13, and B7S in 15."""
     nop, port0 = ("NOP", 0, 0, 0), ("PORT0", 2, 0, 0)
     middle = ([nop, nop, nop, port0] if leaves_with_port0
               else [nop, nop, port0, nop])
@@ -420,13 +434,13 @@ def port_block(leaves_with_port0):
 @pytest.mark.parametrize("leaves_with_port0", [False, True])
 def test_a_byte_leaving_inside_a_block_logs_between_its_events(
         leaves_with_port0, gated):
-    # Port and display instructions do not end a block, so the byte
-    # leaves inside the block from pc 2. Each I/O instruction logs the
+    # I/O instructions do not end a block, so the byte is queued and
+    # leaves inside the block from pc 0. Each I/O instruction logs the
     # bytes that left up to its cycle before its own event; in one
     # cycle the leave comes first.
     program = port_block(leaves_with_port0)
     m = check_against_oracle(program, 18, gated=gated)
-    assert m._code.blocks[2][1] == 14  # cycles 4-17
+    assert m._code.blocks[0][1] == 18  # cycles 0-17
     inside = ([(13, "uart"), (13, "port0")] if leaves_with_port0
               else [(11, "port0"), (13, "uart")])
     assert [(e.cycle, e.device) for e in io_events(m)] == [
@@ -470,6 +484,80 @@ def test_a_byte_leaving_in_the_fetch_of_uarts_is_gone_before_it_sends(gated):
                              host=[(park, "force_idle"),
                                    (park, "interrupt")])
     assert [e.cycle for e in io_events(m)] == [park + 9, park + 20]
+
+
+def test_a_block_holds_at_most_32_instructions():
+    # 255 INCs and a branch back, straight code that would otherwise be
+    # one 256-instruction block. `compile`'s transient heap grows with
+    # the source: uncapped, the run's traced-heap peak was about 1.8 MB;
+    # capped, it read 259-284 KB on CPython 3.10-3.13.
+    _translate.cache_clear()
+    m = machine_for([("INC", 1, 0, 0)] * 255 + [("BI", 0, 0, 0)])
+    tracemalloc.start()
+    try:
+        m.run(1000, halt_on_self_loop=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    translated = [block for block in m._code.blocks if block]
+    translated += m._code.cuts.values()
+    assert max(block[1] for block in translated) == 2 * 32
+    assert peak < 384 * 1024
+    assert m.regs[1] == 255 + 244  # 500 instructions, the branch one
+
+
+# Blocks that loop on themselves and send faster than the UART drains,
+# with a UARTS first, in the middle, last, or in all three places.
+SENDS = {
+    "first": [("UARTS", 1, 0, 0), ("INC", 2, 0, 0), ("STORE", 2, 0, 0x10)],
+    "middle": [("INC", 2, 0, 0), ("UARTS", 1, 0, 0), ("STORE", 2, 0, 0x10)],
+    "last": [("INC", 2, 0, 0), ("STORE", 2, 0, 0x10), ("UARTS", 1, 0, 0)],
+    "all three": [("UARTS", 1, 0, 0), ("INC", 2, 0, 0), ("UARTS", 1, 0, 0),
+                  ("STORE", 2, 0, 0x10), ("UARTS", 1, 0, 0)],
+}
+
+
+def filled_then(body, short):
+    """(program, pc): 42 passes of an eight-send loop and 4 - `short`
+    sends more, which leave the FIFO `short` bytes short of full when
+    the block at pc, `body` closed by a branch back to pc, first runs."""
+    uarts = ("UARTS", 1, 0, 0)
+    program = ([("LOADI", 1, 0, 0x41), ("LOADI", 2, 0, 42),
+                ("LOADI", 3, 0, 3)] + [uarts] * 8
+               + [("DEC", 2, 0, 0), ("BNEQ", 3, 0, 0)] + [uarts] * (4 - short))
+    pc = len(program) + 1
+    return program + [("BI", 0, 0, pc)] + body + [("BI", 0, 0, pc)], pc
+
+
+def fifo_level(expected, cycle):
+    """How many bytes the oracle's FIFO holds as `cycle` begins."""
+    sent = sum(state == "execute" and mnemonic == "UARTS"
+               for _, state, mnemonic, _ in expected.rows[:cycle])
+    left = sum(at < cycle and device == "uart"
+               for at, device, _, _ in expected.events)
+    return sent - left
+
+
+@pytest.mark.parametrize("gated", [True, False])
+@pytest.mark.parametrize("short", [0, 1, 2])
+@pytest.mark.parametrize("layout", list(SENDS))
+def test_a_full_fifo_raises_before_its_block_runs_on(layout, short, gated):
+    # A block whose sends could overflow the FIFO runs only up to its
+    # first UARTS, or that UARTS alone, so the one that finds the FIFO
+    # full raises in its execute cycle with nothing after it run, as
+    # the oracle's does.
+    program, pc = filled_then(SENDS[layout], short)
+    expected = oracle.RefMachine(program, gated)
+    with pytest.raises(oracle.FifoFull):
+        expected.run(2000, halt_on_self_loop=False)
+    m = machine_for(program, gated)
+    with pytest.raises(TxOverflowError):
+        m.run(2000, halt_on_self_loop=False)
+    first_run = next(cycle for cycle, row in enumerate(expected.rows)
+                     if row[:2] == (pc, "fetch"))
+    assert fifo_level(expected, first_run) == 256 - short
+    assert (m.fsm.value, m.records[-1].opcode) == ("execute", "UARTS")
+    assert_like_oracle(m, expected)
 
 
 # Straight-line code whose execute halves a budget may split from their
